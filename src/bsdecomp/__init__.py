@@ -1,6 +1,13 @@
 """Exact-rational decomposition of Betti diagrams into pure diagrams."""
 
-from .diagram import Diagram, ZERO, format_betti, parse_betti, render_grid
+from .diagram import (
+    Diagram,
+    ZERO,
+    format_betti,
+    format_fraction,
+    parse_betti,
+    render_grid,
+)
 from .errors import (
     BettiFormatError,
     BsdecompError,
@@ -9,11 +16,13 @@ from .errors import (
     NonPositiveDegree,
     NotADegreeSequence,
     NotInCone,
+    NotWeaklyIncreasing,
     RequiresStrictDegrees,
     SizeExceeded,
     UnsupportedCodimension,
 )
 from .pure import (
+    PureSum,
     check_degree_sequence,
     delta,
     format_sequence,
@@ -27,7 +36,6 @@ from .koszul import CIType, koszul_betti, normalize
 from .greedy import (
     EliminationTable,
     GreedyTrace,
-    PureDecomposition,
     elimination_table,
     greedy_decompose,
     verify_symmetric,
@@ -39,9 +47,7 @@ from .closed_forms import (
     verify_closed_form,
 )
 from .shuffle import (
-    PureSum,
     ci_shuffle_decomposition,
-    expand_pure_sum,
     prod_of,
     quotient_by_regular_element,
     shuffle_count,

@@ -20,8 +20,9 @@ __all__ = [
     "CensusReport",
     "signature_of",
     "iter_types",
+    "census_records",
     "run_census",
-    "tsv_lines",
+    "tsv_line",
     "format_report",
 ]
 
@@ -55,10 +56,12 @@ def signature_of(t):
         t = normalize(t)
     n = t.codim
     table = greedy_decompose(koszul_betti(t)).table
-    grouped = table.columns_by_iteration()
+    grouped = {}
+    for (i, _), it in table.cells.items():
+        grouped.setdefault(it, set()).add(i)
     steps = []
     for it in sorted(grouped):
-        cols = grouped[it]
+        cols = tuple(sorted(grouped[it]))
         if it == table.iterations:
             cols = tuple(c for c in cols if c not in (0, n))
         steps.append((it, cols))
@@ -99,15 +102,20 @@ def _predicate_agrees(t, signature):
     return first == (2,)
 
 
-def run_census(codim, max_degree, strict, witness_cap=WITNESS_CAP):
-    """Sweep all bounded degree tuples and aggregate their signatures."""
+def census_records(codim, max_degree, strict):
+    """Yield (type, signature) for every bounded degree tuple."""
     if codim not in (4, 5):
         raise ValueError(f"census supports codimension 4 or 5, got {codim}")
     if strict and max_degree < codim:
         raise ValueError("strict tuples need max_degree >= codim")
-    report = CensusReport(codim=codim, max_degree=max_degree, strict=strict)
     for t in iter_types(codim, max_degree, strict):
-        sig = signature_of(t)
+        yield t, signature_of(t)
+
+
+def run_census(codim, max_degree, strict, witness_cap=WITNESS_CAP):
+    """Sweep all bounded degree tuples and aggregate their signatures."""
+    report = CensusReport(codim=codim, max_degree=max_degree, strict=strict)
+    for t, sig in census_records(codim, max_degree, strict):
         report.swept += 1
         witnesses = report.signatures.setdefault(sig, [])
         if len(witnesses) < witness_cap:
@@ -125,18 +133,16 @@ def run_census(codim, max_degree, strict, witness_cap=WITNESS_CAP):
     return report
 
 
-def tsv_lines(codim, max_degree, strict):
-    """One machine-readable line per swept tuple."""
-    for t in iter_types(codim, max_degree, strict):
-        sig = signature_of(t)
-        yield "\t".join(
-            [
-                ",".join(str(e) for e in t.degrees),
-                str(sig.iterations),
-                sig.format(),
-                "yes" if sig.has_multiple_elimination() else "no",
-            ]
-        )
+def tsv_line(t, sig):
+    """One machine-readable line for a swept tuple and its signature."""
+    return "\t".join(
+        [
+            ",".join(str(e) for e in t.degrees),
+            str(sig.iterations),
+            sig.format(),
+            "yes" if sig.has_multiple_elimination() else "no",
+        ]
+    )
 
 
 def format_report(report):

@@ -2,8 +2,8 @@
 
 One subcommand per library operation; diagrams travel between commands
 in the BETTI/1 text format, decompositions as `coeff<TAB>(d_0,...,d_n)`
-lines.  Domain errors exit 1 with the error name on stderr; usage errors
-exit 2.
+lines.  Domain errors and malformed numbers exit 1 with the error name on
+stderr; usage errors exit 2.
 """
 
 import argparse
@@ -13,8 +13,8 @@ from fractions import Fraction
 from . import census as census_mod
 from . import reference
 from .closed_forms import closed_form_decomposition, codim4_first_elimination
-from .diagram import format_betti, parse_betti
-from .errors import BsdecompError
+from .diagram import format_betti, format_fraction, parse_betti
+from .errors import BsdecompError, NotADegreeSequence
 from .greedy import greedy_decompose
 from .koszul import normalize, koszul_betti
 from .pure import format_sequence, parse_sequence
@@ -30,27 +30,25 @@ def _parse_degrees(text):
     return normalize(int(p) for p in text.split(","))
 
 
-def _coeff_str(q):
-    q = Fraction(q)
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
-
-
 def _print_terms(terms, out):
     for coeff, d in terms:
-        out.write(f"{_coeff_str(coeff)}\t{format_sequence(d)}\n")
+        out.write(f"{format_fraction(coeff)}\t{format_sequence(d)}\n")
 
 
 def _read_terms(path):
     terms = []
     with open(path) as handle:
-        for line in handle:
+        for lineno, line in enumerate(handle, start=1):
             line = line.strip()
             if not line:
                 continue
             coeff_text, _, seq_text = line.partition("\t")
-            terms.append((Fraction(coeff_text), parse_sequence(seq_text)))
+            try:
+                terms.append((Fraction(coeff_text), parse_sequence(seq_text)))
+            except NotADegreeSequence as exc:
+                raise NotADegreeSequence(f"line {lineno}: {exc}") from None
+            except (ValueError, ZeroDivisionError) as exc:
+                raise ValueError(f"line {lineno}: {exc}") from None
     return terms
 
 
@@ -163,8 +161,8 @@ def run(args, out):
         _print_terms(result, out)
     elif cmd == "census":
         if args.format == "tsv":
-            for line in census_mod.tsv_lines(args.codim, args.max_degree, args.strict):
-                out.write(line + "\n")
+            for t, sig in census_mod.census_records(args.codim, args.max_degree, args.strict):
+                out.write(census_mod.tsv_line(t, sig) + "\n")
         else:
             report = census_mod.run_census(args.codim, args.max_degree, args.strict)
             out.write(census_mod.format_report(report) + "\n")
@@ -185,7 +183,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return run(args, sys.stdout)
-    except BsdecompError as exc:
+    except (BsdecompError, ValueError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

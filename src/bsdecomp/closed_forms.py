@@ -7,11 +7,11 @@ or column-2 entry (or several entries at once).
 """
 
 import enum
-from fractions import Fraction
 
 from .errors import RequiresStrictDegrees, UnsupportedCodimension
-from .greedy import PureDecomposition, greedy_decompose
+from .greedy import greedy_decompose
 from .koszul import CIType, koszul_betti, normalize
+from .pure import PureSum
 
 __all__ = [
     "FirstElimination",
@@ -28,20 +28,6 @@ class FirstElimination(enum.Enum):
 
     def __str__(self):
         return self.value
-
-
-def _merged(raw_terms):
-    """Drop zero coefficients and merge equal adjacent degree sequences."""
-    merged = []
-    for coeff, d in raw_terms:
-        coeff = Fraction(coeff)
-        if coeff == 0:
-            continue
-        if merged and merged[-1][1] == d:
-            merged[-1] = (merged[-1][0] + coeff, d)
-        else:
-            merged.append((coeff, d))
-    return PureDecomposition(tuple(merged))
 
 
 def closed_form_decomposition(t):
@@ -72,7 +58,7 @@ def closed_form_decomposition(t):
         ]
     else:
         raise UnsupportedCodimension(f"no closed form for codimension {n}")
-    return _merged(raw)
+    return PureSum.merged(raw)
 
 
 def codim4_first_elimination(t):
@@ -86,7 +72,7 @@ def codim4_first_elimination(t):
     if not isinstance(t, CIType):
         t = normalize(t)
     if t.codim != 4:
-        raise RequiresStrictDegrees(f"predicate needs 4 degrees, got {t.codim}")
+        raise UnsupportedCodimension(f"predicate needs 4 degrees, got {t.codim}")
     a, b, c, d = t.degrees
     if not (a < b < c < d):
         raise RequiresStrictDegrees(f"degrees must be strictly increasing: {t.degrees}")

@@ -13,6 +13,7 @@ __all__ = [
     "Diagram",
     "ZERO",
     "format_betti",
+    "format_fraction",
     "parse_betti",
     "render_grid",
 ]
@@ -97,22 +98,6 @@ class Diagram:
             raise ValueError("empty diagram has no regularity")
         return max(j - i for i, j in self._entries)
 
-    def column(self, i):
-        """Map j -> value for column i (possibly empty)."""
-        return {j: v for (k, j), v in self._entries.items() if k == i}
-
-    def min_shift(self, i):
-        col = self.column(i)
-        if not col:
-            return None
-        return min(col)
-
-    def max_shift(self, i):
-        col = self.column(i)
-        if not col:
-            return None
-        return max(col)
-
     # -- algebra --------------------------------------------------------
 
     def __add__(self, other):
@@ -180,14 +165,15 @@ class Diagram:
     def __str__(self):
         if self.is_zero():
             return "(zero diagram)"
-        cells = {key: _fraction_str(v) for key, v in self._entries.items()}
+        cells = {key: format_fraction(v) for key, v in self._entries.items()}
         return render_grid(cells)
 
 
 ZERO = Diagram()
 
 
-def _fraction_str(q):
+def format_fraction(q):
+    """`p/q` in lowest terms, or bare `p` when the denominator is 1."""
     q = Fraction(q)
     if q.denominator == 1:
         return str(q.numerator)
@@ -226,7 +212,7 @@ def format_betti(diagram):
     """Serialize a diagram in the BETTI/1 format."""
     lines = [BETTI_HEADER]
     for (i, j), value in diagram.items():
-        lines.append(f"{i}\t{j}\t{_fraction_str(value)}")
+        lines.append(f"{i}\t{j}\t{format_fraction(value)}")
     return "\n".join(lines) + "\n"
 
 

@@ -21,8 +21,12 @@ class NonPositiveDegree(BsdecompError):
     """A generator degree was < 1."""
 
 
+class NotWeaklyIncreasing(BsdecompError):
+    """Generator degrees that must be weakly increasing are not."""
+
+
 class UnsupportedCodimension(BsdecompError):
-    """A closed form was requested outside codimension 1..3."""
+    """An operation was asked for a codimension it is not defined for."""
 
 
 class RequiresStrictDegrees(BsdecompError):

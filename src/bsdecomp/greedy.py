@@ -11,41 +11,15 @@ from dataclasses import dataclass
 
 from .diagram import render_grid
 from .errors import EmptyColumn, NotADegreeSequence, NotInCone
-from .pure import check_degree_sequence, min_degree_sequence, pure
+from .pure import PureSum, check_degree_sequence, min_degree_sequence, pure
 
 __all__ = [
-    "PureDecomposition",
     "EliminationTable",
     "GreedyTrace",
     "greedy_decompose",
     "elimination_table",
     "verify_symmetric",
 ]
-
-
-@dataclass(frozen=True)
-class PureDecomposition:
-    """Ordered terms (coefficient, degree sequence) of a chain decomposition."""
-
-    terms: tuple
-
-    def __iter__(self):
-        return iter(self.terms)
-
-    def __len__(self):
-        return len(self.terms)
-
-    def expand(self):
-        """Sum of coeff * pure(d) over the terms."""
-        total = None
-        for coeff, d in self.terms:
-            term = pure(d).scale(coeff)
-            total = term if total is None else total + term
-        if total is None:
-            from .diagram import ZERO
-
-            return ZERO
-        return total
 
 
 @dataclass(frozen=True)
@@ -60,13 +34,6 @@ class EliminationTable:
             {key: str(it) for key, it in self.cells.items()}, blank=blank
         )
 
-    def columns_by_iteration(self):
-        """Map iteration -> sorted tuple of distinct columns zeroed then."""
-        grouped = {}
-        for (i, _), it in self.cells.items():
-            grouped.setdefault(it, set()).add(i)
-        return {it: tuple(sorted(cols)) for it, cols in grouped.items()}
-
     def multiple_iterations(self):
         """Iterations that zero two or more cells (including the final one)."""
         counts = {}
@@ -77,7 +44,7 @@ class EliminationTable:
 
 @dataclass(frozen=True)
 class GreedyTrace:
-    decomposition: PureDecomposition
+    decomposition: PureSum
     table: EliminationTable
 
 
@@ -93,27 +60,22 @@ def greedy_decompose(a):
     terms = []
     cells = {}
     iteration = 0
+
+    def stuck(message):
+        return NotInCone(message, partial=PureSum(tuple(terms)), residual=residual)
+
     while not residual.is_zero():
         iteration += 1
         if iteration > cap:
             raise RuntimeError("greedy decomposition failed to make progress")
-        partial = PureDecomposition(tuple(terms))
         if residual.width != width:
-            raise NotInCone(
-                f"column {width} emptied while lower columns remain",
-                partial=partial,
-                residual=residual,
-            )
+            raise stuck(f"column {width} emptied while lower columns remain")
         try:
             d = min_degree_sequence(residual)
         except EmptyColumn as exc:
-            raise NotInCone(str(exc), partial=partial, residual=residual) from exc
+            raise stuck(str(exc)) from exc
         except NotADegreeSequence as exc:
-            raise NotInCone(
-                f"column minima are not strictly increasing: {exc}",
-                partial=partial,
-                residual=residual,
-            ) from exc
+            raise stuck(f"column minima are not strictly increasing: {exc}") from exc
         p = pure(d)
         q = min(residual[(i, di)] / p[(i, di)] for i, di in enumerate(d))
         terms.append((q, d))
@@ -122,7 +84,7 @@ def greedy_decompose(a):
             cells[key] = iteration
         residual = new_residual
     return GreedyTrace(
-        decomposition=PureDecomposition(tuple(terms)),
+        decomposition=PureSum(tuple(terms)),
         table=EliminationTable(cells=cells, iterations=iteration),
     )
 

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from math import prod
 
 from .diagram import Diagram
-from .errors import NonPositiveDegree
+from .errors import NonPositiveDegree, NotWeaklyIncreasing
 
 __all__ = ["CIType", "normalize", "koszul_betti"]
 
@@ -26,7 +26,7 @@ class CIType:
         if any(e < 1 for e in degrees):
             raise NonPositiveDegree(f"degrees must be >= 1, got {degrees}")
         if any(a > b for a, b in zip(degrees, degrees[1:])):
-            raise NonPositiveDegree(
+            raise NotWeaklyIncreasing(
                 f"degrees must be weakly increasing, got {degrees}; use normalize()"
             )
         object.__setattr__(self, "degrees", degrees)

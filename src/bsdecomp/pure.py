@@ -3,16 +3,19 @@
 A degree sequence is a strictly increasing integer tuple (d_0, ..., d_n).
 The pure diagram on d has one entry per column, at (i, d_i), with value
 prod_{k != i} 1/|d_i - d_k|.  First differences and partial sums convert
-between degree sequences and tuples of positive gaps.
+between degree sequences and tuples of positive gaps.  A formal sum of
+pure diagrams is a PureSum.
 """
 
+from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
 
-from .diagram import Diagram
+from .diagram import Diagram, ZERO
 from .errors import EmptyColumn, LengthMismatch, NotADegreeSequence
 
 __all__ = [
+    "PureSum",
     "check_degree_sequence",
     "pure",
     "leq",
@@ -45,6 +48,41 @@ def pure(d):
     return Diagram(entries)
 
 
+@dataclass(frozen=True)
+class PureSum:
+    """Terms (coefficient, degree sequence) of a formal sum of pure diagrams.
+
+    The degree sequences need not be totally ordered; those of a greedy
+    chain decomposition happen to be.
+    """
+
+    terms: tuple
+
+    def __iter__(self):
+        return iter(self.terms)
+
+    def __len__(self):
+        return len(self.terms)
+
+    @classmethod
+    def merged(cls, pairs):
+        """Sum equal sequences' coefficients in first-seen order; drop zero totals."""
+        acc = {}
+        for coeff, d in pairs:
+            acc[d] = acc.get(d, 0) + Fraction(coeff)
+        return cls(tuple((c, d) for d, c in acc.items() if c != 0))
+
+    def expand(self):
+        """Sum of coeff * pure(d) over the terms."""
+        lengths = {len(d) for _, d in self.terms}
+        if len(lengths) > 1:
+            raise LengthMismatch(f"mixed sequence lengths {sorted(lengths)}")
+        total = ZERO
+        for coeff, d in self.terms:
+            total = total + pure(d).scale(coeff)
+        return total
+
+
 def leq(c, d):
     """Componentwise comparison of two equal-length degree sequences."""
     c = check_degree_sequence(c)
@@ -72,13 +110,15 @@ def min_degree_sequence(a):
     """Per-column minimum degrees of a diagram, as a degree sequence."""
     if a.is_zero():
         raise EmptyColumn("empty diagram")
-    minima = []
-    for i in range(a.width + 1):
-        m = a.min_shift(i)
-        if m is None:
+    minima = {}
+    for i, j in a.support:
+        if i not in minima or j < minima[i]:
+            minima[i] = j
+    columns = range(max(minima) + 1)
+    for i in columns:
+        if i not in minima:
             raise EmptyColumn(f"column {i} has no entries")
-        minima.append(m)
-    return check_degree_sequence(minima)
+    return check_degree_sequence(minima[i] for i in columns)
 
 
 def format_sequence(d):

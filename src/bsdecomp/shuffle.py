@@ -8,18 +8,16 @@ other than shuffle multiplicities appear with this normalization.
 """
 
 import os
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
 from math import factorial, prod
 
-from .diagram import Diagram, ZERO
-from .errors import LengthMismatch, SizeExceeded
+from .diagram import Diagram
+from .errors import SizeExceeded
 from .koszul import CIType, normalize
-from .pure import check_degree_sequence, delta, pure, sigma
+from .pure import PureSum, check_degree_sequence, delta, sigma
 
 __all__ = [
-    "PureSum",
     "DEFAULT_SHUFFLE_CAP",
     "shuffle_cap",
     "tensor",
@@ -29,7 +27,6 @@ __all__ = [
     "shuffle_product",
     "quotient_by_regular_element",
     "ci_shuffle_decomposition",
-    "expand_pure_sum",
     "shuffle_identity_check",
 ]
 
@@ -45,31 +42,6 @@ def shuffle_cap(cap=None):
     if env is not None:
         return int(env)
     return DEFAULT_SHUFFLE_CAP
-
-
-@dataclass(frozen=True)
-class PureSum:
-    """Merged terms (coefficient, degree sequence) with no chain requirement.
-
-    Distinct from PureDecomposition on purpose: the degree sequences of a
-    pure sum need not be totally ordered.  Terms keep first-seen order.
-    """
-
-    terms: tuple
-
-    def __iter__(self):
-        return iter(self.terms)
-
-    def __len__(self):
-        return len(self.terms)
-
-
-def _merge_terms(pairs):
-    acc = {}
-    for coeff, d in pairs:
-        coeff = Fraction(coeff)
-        acc[d] = acc.get(d, 0) + coeff
-    return PureSum(tuple((c, d) for d, c in acc.items() if c != 0))
 
 
 def tensor(a, b):
@@ -142,7 +114,7 @@ def shuffle_product(ds, cap=None):
         raise ValueError("need at least one degree sequence")
     start = sum(d[0] for d in ds)
     diffs = [delta(d) for d in ds]
-    return _merge_terms(
+    return PureSum.merged(
         (1, sigma(s, start)) for s in shuffles(diffs, cap=cap)
     )
 
@@ -161,7 +133,7 @@ def quotient_by_regular_element(dec, e, cap=None):
         d = check_degree_sequence(d)
         for s in shuffles([delta(d), (e,)], cap=cap):
             pairs.append((e * Fraction(coeff), sigma(s, d[0])))
-    return _merge_terms(pairs)
+    return PureSum.merged(pairs)
 
 
 def ci_shuffle_decomposition(t, cap=None):
@@ -175,20 +147,9 @@ def ci_shuffle_decomposition(t, cap=None):
         t = normalize(t)
     _check_cap(factorial(t.codim), cap)
     mult = t.multiplicity
-    return _merge_terms(
+    return PureSum.merged(
         (mult, sigma(p, 0)) for p in permutations(t.degrees)
     )
-
-
-def expand_pure_sum(s):
-    """Evaluate a formal sum of pure diagrams to a diagram."""
-    lengths = {len(d) for _, d in s}
-    if len(lengths) > 1:
-        raise LengthMismatch(f"mixed sequence lengths {sorted(lengths)}")
-    total = ZERO
-    for coeff, d in s:
-        total = total + pure(d).scale(coeff)
-    return total
 
 
 def shuffle_identity_check(sets, cap=None):

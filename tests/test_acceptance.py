@@ -14,7 +14,6 @@ from bsdecomp import (
     closed_form_decomposition,
     codim4_first_elimination,
     elimination_table,
-    expand_pure_sum,
     greedy_decompose,
     koszul_betti,
     normalize,
@@ -79,7 +78,7 @@ def test_criterion_2_ci_shuffle_golden():
     dec = ci_shuffle_decomposition(t)
     assert len(dec) == 24
     assert all(c == 64 for c, _ in dec)
-    assert expand_pure_sum(dec) == koszul_betti(t)
+    assert dec.expand() == koszul_betti(t)
 
 
 @criterion(3, "closed form equals greedy for all codim <= 3 types, e <= 8")
@@ -117,7 +116,7 @@ def test_criterion_5_shuffle_golden():
     dec = shuffle_product([(0, 3, 5), (0, 1, 6)])
     assert dec.terms == SHUFFLE_0_3_5__0_1_6
     assert all(c == 1 for c, _ in dec)
-    assert expand_pure_sum(dec) == tensor(pure((0, 3, 5)), pure((0, 1, 6)))
+    assert dec.expand() == tensor(pure((0, 3, 5)), pure((0, 1, 6)))
 
 
 @criterion(6, "quotient of the (2,3,4) decomposition by a degree-7 element")
@@ -127,7 +126,7 @@ def test_criterion_6_quotient_golden():
     base = greedy_decompose(koszul_betti(normalize((2, 3, 4)))).decomposition
     assert base.terms == QUOTIENT_BASE_2_3_4
     dec = quotient_by_regular_element(base, 7)
-    assert expand_pure_sum(dec) == koszul_betti(normalize((2, 3, 4, 7)))
+    assert dec.expand() == koszul_betti(normalize((2, 3, 4, 7)))
     merged = {d: c for c, d in dec}
     for coeff, seq in QUOTIENT_2_3_4_BY_7:
         assert merged[seq] == coeff
@@ -153,7 +152,7 @@ def test_criterion_8_shuffle_vs_tensor():
         c = tuple(sorted(rng.sample(range(-6, 13), rng.randint(1, 4))))
         d = tuple(sorted(rng.sample(range(-6, 13), rng.randint(1, 4))))
         dec = shuffle_product([c, d])
-        assert expand_pure_sum(dec) == tensor(pure(c), pure(d)), (c, d)
+        assert dec.expand() == tensor(pure(c), pure(d)), (c, d)
 
 
 @criterion(9, "palindromic symmetry for all types with n <= 4, e <= 6")

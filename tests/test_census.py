@@ -4,12 +4,17 @@ import pytest
 
 from bsdecomp import CIType, greedy_decompose, koszul_betti, pure
 from bsdecomp.census import (
+    census_records,
     format_report,
     iter_types,
     run_census,
     signature_of,
-    tsv_lines,
+    tsv_line,
 )
+
+
+def tsv_output(codim, max_degree, strict):
+    return [tsv_line(t, sig) for t, sig in census_records(codim, max_degree, strict)]
 
 
 class TestSignature:
@@ -101,6 +106,8 @@ class TestRunCensus:
     def test_rejects_too_small_strict_bound(self):
         with pytest.raises(ValueError):
             run_census(4, 3, True)
+        with pytest.raises(ValueError):
+            tsv_output(4, 3, True)
 
     def test_determinism(self):
         a = run_census(4, 8, True)
@@ -110,12 +117,19 @@ class TestRunCensus:
 
 class TestOutput:
     def test_tsv_shape(self):
-        lines = list(tsv_lines(4, 5, True))
+        lines = tsv_output(4, 5, True)
         assert len(lines) == 5
         fields = lines[0].split("\t")
         assert len(fields) == 4
         assert fields[0] == "1,2,3,4"
         assert fields[3] in ("yes", "no")
+
+    @pytest.mark.parametrize("codim, max_degree, strict", [(4, 8, True), (5, 7, False)])
+    def test_tsv_rows_match_report(self, codim, max_degree, strict):
+        report = run_census(codim, max_degree, strict)
+        rows = [line.split("\t") for line in tsv_output(codim, max_degree, strict)]
+        assert len(rows) == report.swept
+        assert {row[2] for row in rows} == {sig.format() for sig in report.signatures}
 
     def test_report_text(self):
         report = run_census(4, 6, True)

@@ -1,4 +1,5 @@
 import io
+import re
 
 import pytest
 
@@ -149,6 +150,40 @@ class TestErrors:
         code = main(["decompose", "--in", str(path)])
         assert code == 1
         assert "line 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, env, terms",
+        [
+            (["ci-betti", "--degrees", "2,x"], None, None),
+            (["decompose", "--degrees", ","], None, None),
+            (["shuffle", "--seq", "0,x", "--seq", "0,1"], None, None),
+            (["census", "--codim", "5", "--max-degree", "3", "--strict"], None, None),
+            (["census", "--codim", "4", "--max-degree", "3", "--strict", "--format", "tsv"], None, None),
+            (["shuffle", "--seq", "0,1", "--seq", "0,2"], "abc", None),
+            (["quotient", "--degrees", "2,3", "--element", "0"], None, None),
+            (["quotient", "--element", "2"], None, "1\t(0,1,2)\n1/x\t(0,1,2)\n"),
+            (["quotient", "--element", "2"], None, "1/0\t(0,1,2)\n"),
+            (["quotient", "--element", "2"], None, "1\t(0,2,1)\n"),
+        ],
+    )
+    def test_bad_input_is_one_error_line(self, argv, env, terms, tmp_path, monkeypatch, capsys):
+        if env is not None:
+            monkeypatch.setenv("BSDECOMP_SHUFFLE_CAP", env)
+        if terms is not None:
+            path = tmp_path / "terms.txt"
+            path.write_text(terms)
+            argv = argv + ["--in", str(path)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert len(err.splitlines()) == 1
+        assert re.match(r"^\w+: ", err)
+
+    def test_terms_file_error_names_line(self, tmp_path, capsys):
+        path = tmp_path / "terms.txt"
+        path.write_text("1\t(0,1,2)\n\n1/x\t(0,1,2)\n")
+        assert main(["quotient", "--in", str(path), "--element", "2"]) == 1
+        assert capsys.readouterr().err.startswith("ValueError: line 3: ")
 
     def test_missing_file(self, capsys):
         code = main(["decompose", "--in", "/nonexistent.betti"])

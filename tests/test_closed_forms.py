@@ -71,6 +71,14 @@ class TestVerifyClosedForm:
             for degrees in combinations_with_replacement(range(1, 9), n):
                 assert verify_closed_form(CIType(degrees)), degrees
 
+    def test_greedy_term_order_up_to_10(self):
+        # Not sorted: the closed form lists the chain in greedy order.
+        for n in (1, 2, 3):
+            for degrees in combinations_with_replacement(range(1, 11), n):
+                t = CIType(degrees)
+                formula = closed_form_decomposition(t)
+                assert formula == greedy_decompose(koszul_betti(t)).decomposition, degrees
+
 
 class TestCodim4Predicate:
     def test_1_2_4_8_column1(self):
@@ -108,5 +116,5 @@ class TestCodim4Predicate:
     def test_requires_strict(self):
         with pytest.raises(RequiresStrictDegrees):
             codim4_first_elimination(normalize((2, 2, 3, 4)))
-        with pytest.raises(RequiresStrictDegrees):
+        with pytest.raises(UnsupportedCodimension):
             codim4_first_elimination(normalize((1, 2, 3)))

@@ -118,12 +118,6 @@ class TestShape:
         assert d.width == 2
         assert d.regularity == 3
 
-    def test_shifts(self):
-        d = Diagram({(1, 2): 1, (1, 5): 1})
-        assert d.min_shift(1) == 2
-        assert d.max_shift(1) == 5
-        assert d.min_shift(0) is None
-
     @given(diagrams)
     def test_no_stored_zero(self, a):
         b = a + a.scale(-1)

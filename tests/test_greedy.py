@@ -8,6 +8,7 @@ from bsdecomp import (
     CIType,
     Diagram,
     NotInCone,
+    PureSum,
     elimination_table,
     greedy_decompose,
     koszul_betti,
@@ -102,7 +103,8 @@ class TestNotInCone:
         bad = pure((0, 1, 3)) + Diagram({(1, 2): Fraction(1, 7)})
         with pytest.raises(NotInCone) as exc:
             greedy_decompose(bad)
-        assert exc.value.partial is not None
+        assert isinstance(exc.value.partial, PureSum)
+        assert exc.value.partial.terms == ((1, (0, 1, 3)),)
         assert exc.value.residual is not None
         assert not exc.value.residual.is_zero()
 

@@ -49,7 +49,7 @@ class TestPure:
     def test_one_positive_entry_per_column(self, d):
         p = pure(d)
         for i in range(len(d)):
-            col = p.column(i)
+            col = {j: v for (k, j), v in p.items() if k == i}
             assert list(col) == [d[i]]
             assert col[d[i]] > 0
 

@@ -7,9 +7,9 @@ from hypothesis import given, strategies as st
 
 from bsdecomp import (
     Diagram,
+    PureSum,
     SizeExceeded,
     ci_shuffle_decomposition,
-    expand_pure_sum,
     koszul_betti,
     normalize,
     prod_of,
@@ -27,7 +27,6 @@ from bsdecomp.reference import (
     QUOTIENT_BASE_2_3_4,
     SHUFFLE_0_3_5__0_1_6,
 )
-from bsdecomp.shuffle import PureSum
 
 from conftest import koszul_by_enumeration
 
@@ -107,7 +106,7 @@ class TestShuffleProduct:
 
     def test_expansion_matches_tensor(self):
         dec = shuffle_product([(0, 3, 5), (0, 1, 6)])
-        assert expand_pure_sum(dec) == tensor(pure((0, 3, 5)), pure((0, 1, 6)))
+        assert dec.expand() == tensor(pure((0, 3, 5)), pure((0, 1, 6)))
 
     def test_permutation_sum_1_2_4_8(self):
         dec = shuffle_product([(0, 1), (0, 2), (0, 4), (0, 8)])
@@ -123,7 +122,7 @@ class TestShuffleProduct:
             c = tuple(sorted(rng.sample(range(-6, 13), rng.randint(1, 4))))
             d = tuple(sorted(rng.sample(range(-6, 13), rng.randint(1, 4))))
             dec = shuffle_product([c, d])
-            assert expand_pure_sum(dec) == tensor(pure(c), pure(d))
+            assert dec.expand() == tensor(pure(c), pure(d))
 
 
 class TestQuotient:
@@ -132,12 +131,12 @@ class TestQuotient:
         terms = {d: c for c, d in dec}
         for coeff, seq in QUOTIENT_2_3_4_BY_7:
             assert terms[seq] == coeff
-        assert expand_pure_sum(dec) == koszul_betti(normalize((2, 3, 4, 7)))
+        assert dec.expand() == koszul_betti(normalize((2, 3, 4, 7)))
 
     def test_merging_of_duplicates(self):
         dec = quotient_by_regular_element([(1, (0, 1))], 1)
         assert dec.terms == ((2, (0, 1, 2)),)
-        assert expand_pure_sum(dec) == koszul_betti(normalize((1, 1)))
+        assert dec.expand() == koszul_betti(normalize((1, 1)))
 
     def test_single_generator(self):
         dec = quotient_by_regular_element([(1, (0,))], 5)
@@ -154,7 +153,7 @@ class TestCIShuffle:
         assert len(dec) == 24
         assert all(c == 64 for c, _ in dec)
         assert all(d[0] == 0 and d[-1] == 15 for _, d in dec)
-        assert expand_pure_sum(dec) == koszul_betti(normalize((1, 2, 4, 8)))
+        assert dec.expand() == koszul_betti(normalize((1, 2, 4, 8)))
 
     def test_2_3_4_7(self):
         dec = ci_shuffle_decomposition(normalize((2, 3, 4, 7)))
@@ -164,7 +163,7 @@ class TestCIShuffle:
     def test_repeated_degrees_merge(self):
         dec = ci_shuffle_decomposition(normalize((3, 3)))
         assert dec.terms == ((18, (0, 3, 6)),)
-        assert expand_pure_sum(dec) == koszul_betti(normalize((3, 3)))
+        assert dec.expand() == koszul_betti(normalize((3, 3)))
 
     def test_reconstructs_small_types(self):
         from itertools import combinations_with_replacement
@@ -173,7 +172,7 @@ class TestCIShuffle:
             for degrees in combinations_with_replacement(range(1, 9), n):
                 t = normalize(degrees)
                 dec = ci_shuffle_decomposition(t)
-                assert expand_pure_sum(dec) == koszul_betti(t), degrees
+                assert dec.expand() == koszul_betti(t), degrees
                 distinct = len(set(degrees)) == len(degrees)
                 if distinct:
                     assert all(c == t.multiplicity for c, _ in dec)
@@ -181,11 +180,26 @@ class TestCIShuffle:
 
 class TestExpandPureSum:
     def test_single_term(self):
-        assert expand_pure_sum(PureSum(((1, (0, 2, 3)),))) == pure((0, 2, 3))
+        assert PureSum(((1, (0, 2, 3)),)).expand() == pure((0, 2, 3))
 
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatch):
-            expand_pure_sum([(1, (0, 1)), (1, (0, 1, 2))])
+            PureSum(((1, (0, 1)), (1, (0, 1, 2)))).expand()
+
+    def test_empty_expands_to_zero(self):
+        assert PureSum(()).expand() == Diagram()
+
+
+class TestMergePureSum:
+    def test_sums_in_first_seen_order(self):
+        merged = PureSum.merged(
+            [(2, (0, 3)), (1, (0, 1)), (Fraction(1, 2), (0, 3)), (3, (0, 2))]
+        )
+        assert merged.terms == ((Fraction(5, 2), (0, 3)), (1, (0, 1)), (3, (0, 2)))
+
+    def test_drops_zero_totals(self):
+        merged = PureSum.merged([(1, (0, 1)), (0, (0, 4)), (2, (0, 2)), (-1, (0, 1))])
+        assert merged.terms == ((2, (0, 2)),)
 
 
 class TestShuffleIdentity:
