@@ -108,6 +108,8 @@ def census_records(codim, max_degree, strict):
         raise ValueError(f"census supports codimension 4 or 5, got {codim}")
     if strict and max_degree < codim:
         raise ValueError("strict tuples need max_degree >= codim")
+    if max_degree < 1:
+        raise ValueError("tuples need max_degree >= 1")
     for t in iter_types(codim, max_degree, strict):
         yield t, signature_of(t)
 

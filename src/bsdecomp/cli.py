@@ -80,7 +80,6 @@ def build_parser():
 
     p = sub.add_parser("decompose", help="greedy chain decomposition")
     add_diagram_source(p)
-    p.add_argument("--elim-table", action="store_true", help="print the elimination grid instead of terms")
 
     p = sub.add_parser("elim-table", help="elimination table of the greedy decomposition")
     add_diagram_source(p)
@@ -125,14 +124,9 @@ def run(args, out):
     if cmd == "ci-betti":
         out.write(format_betti(koszul_betti(_parse_degrees(args.degrees))))
     elif cmd == "decompose":
-        trace = greedy_decompose(_input_diagram(args))
-        if args.elim_table:
-            out.write(trace.table.grid() + "\n")
-        else:
-            _print_terms(trace.decomposition, out)
+        _print_terms(greedy_decompose(_input_diagram(args)).decomposition, out)
     elif cmd == "elim-table":
-        trace = greedy_decompose(_input_diagram(args))
-        out.write(trace.table.grid() + "\n")
+        out.write(greedy_decompose(_input_diagram(args)).table.grid() + "\n")
     elif cmd == "closed-form":
         _print_terms(closed_form_decomposition(_parse_degrees(args.degrees)), out)
     elif cmd == "predict-first-elim":

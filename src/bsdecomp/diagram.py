@@ -71,9 +71,9 @@ class Diagram:
         """Entries sorted by (i, j)."""
         return sorted(self._entries.items())
 
-    @property
-    def support(self):
-        return frozenset(self._entries)
+    def __iter__(self):
+        """The stored cells (i, j), like a dict's keys."""
+        return iter(self._entries)
 
     def is_zero(self):
         return not self._entries
@@ -114,14 +114,6 @@ class Diagram:
         result._entries = acc
         result._hash = None
         return result
-
-    def __sub__(self, other):
-        if not isinstance(other, Diagram):
-            return NotImplemented
-        return self + (-1) * other
-
-    def __neg__(self):
-        return (-1) * self
 
     def scale(self, q):
         q = _as_fraction(q)

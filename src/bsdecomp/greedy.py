@@ -9,7 +9,7 @@ the input, the iteration at which it first became zero.
 
 from dataclasses import dataclass
 
-from .diagram import render_grid
+from .diagram import Diagram, render_grid
 from .errors import EmptyColumn, NotADegreeSequence, NotInCone
 from .pure import PureSum, check_degree_sequence, min_degree_sequence, pure
 
@@ -55,20 +55,18 @@ def greedy_decompose(a):
     if any(v < 0 for _, v in a.items()):
         raise NotInCone("diagram has negative entries")
     width = a.width
-    cap = len(a) + 1
-    residual = a
+    residual = dict(a.items())
     terms = []
     cells = {}
     iteration = 0
 
     def stuck(message):
-        return NotInCone(message, partial=PureSum(tuple(terms)), residual=residual)
+        return NotInCone(message, partial=PureSum(tuple(terms)), residual=Diagram(residual))
 
-    while not residual.is_zero():
+    # Each step clears the cell attaining q, so there are at most len(a) steps.
+    while residual:
         iteration += 1
-        if iteration > cap:
-            raise RuntimeError("greedy decomposition failed to make progress")
-        if residual.width != width:
+        if max(i for i, _ in residual) != width:
             raise stuck(f"column {width} emptied while lower columns remain")
         try:
             d = min_degree_sequence(residual)
@@ -77,12 +75,15 @@ def greedy_decompose(a):
         except NotADegreeSequence as exc:
             raise stuck(f"column minima are not strictly increasing: {exc}") from exc
         p = pure(d)
-        q = min(residual[(i, di)] / p[(i, di)] for i, di in enumerate(d))
+        q = min(residual[key] / p[key] for key in enumerate(d))
         terms.append((q, d))
-        new_residual = residual - p.scale(q)
-        for key in residual.support - new_residual.support:
-            cells[key] = iteration
-        residual = new_residual
+        for key in enumerate(d):  # the cells (i, d_i) of pure(d)
+            value = residual[key] - q * p[key]
+            if value:
+                residual[key] = value
+            else:
+                del residual[key]
+                cells[key] = iteration
     return GreedyTrace(
         decomposition=PureSum(tuple(terms)),
         table=EliminationTable(cells=cells, iterations=iteration),

@@ -107,11 +107,11 @@ def sigma(s, e):
 
 
 def min_degree_sequence(a):
-    """Per-column minimum degrees of a diagram, as a degree sequence."""
-    if a.is_zero():
+    """Per-column minimum degrees of a diagram or a dict of its cells."""
+    if not a:
         raise EmptyColumn("empty diagram")
     minima = {}
-    for i, j in a.support:
+    for i, j in a:
         if i not in minima or j < minima[i]:
             minima[i] = j
     columns = range(max(minima) + 1)

@@ -153,7 +153,7 @@ def _check_decomp_1_2_4_8():
     return trace.decomposition.terms == DECOMP_1_2_4_8
 
 
-def _check_elim_tables():
+def _check_elimination_tables():
     expected = {
         (3, 4, 5, 7): ELIM_TABLE_3_4_5_7,
         (1, 2, 4, 8): ELIM_TABLE_1_2_4_8,
@@ -220,7 +220,7 @@ def _check_pure_example():
 
 CHECKS = (
     ("chain decomposition of type (1,2,4,8)", _check_decomp_1_2_4_8),
-    ("elimination tables for (3,4,5,7), (1,2,4,8), (4,5,7,9)", _check_elim_tables),
+    ("elimination tables for (3,4,5,7), (1,2,4,8), (4,5,7,9)", _check_elimination_tables),
     ("order-free decomposition of type (1,2,4,8)", _check_ci_shuffle_1_2_4_8),
     ("shuffle expansion of pi<0,3,5> * pi<0,1,6>", _check_shuffle_example),
     ("quotient of type (2,3,4) by a degree-7 element", _check_quotient_example),

@@ -7,7 +7,6 @@ shuffles of the factors' first-difference sequences; no coefficients
 other than shuffle multiplicities appear with this normalization.
 """
 
-import os
 from fractions import Fraction
 from itertools import permutations
 from math import factorial, prod
@@ -19,7 +18,6 @@ from .pure import PureSum, check_degree_sequence, delta, sigma
 
 __all__ = [
     "DEFAULT_SHUFFLE_CAP",
-    "shuffle_cap",
     "tensor",
     "shuffles",
     "shuffle_count",
@@ -31,17 +29,6 @@ __all__ = [
 ]
 
 DEFAULT_SHUFFLE_CAP = 10**6
-CAP_ENV_VAR = "BSDECOMP_SHUFFLE_CAP"
-
-
-def shuffle_cap(cap=None):
-    """Effective enumeration cap: explicit argument, else env var, else default."""
-    if cap is not None:
-        return int(cap)
-    env = os.environ.get(CAP_ENV_VAR)
-    if env is not None:
-        return int(env)
-    return DEFAULT_SHUFFLE_CAP
 
 
 def tensor(a, b):
@@ -60,7 +47,8 @@ def shuffle_count(sizes):
 
 
 def _check_cap(count, cap):
-    cap = shuffle_cap(cap)
+    if cap is None:
+        cap = DEFAULT_SHUFFLE_CAP
     if count > cap:
         raise SizeExceeded(f"{count} shuffles exceed the cap of {cap}")
 

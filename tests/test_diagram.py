@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 from hypothesis import given, strategies as st
@@ -126,6 +127,12 @@ class TestShape:
 
     def test_equals_different_support(self):
         assert pure((0, 1, 3)) != pure((0, 2, 3))
+
+    @given(diagrams)
+    def test_iterates_cells(self, a):
+        # Bounded by islice, so a Diagram that iterates forever fails here.
+        assert len(list(islice(iter(a), len(a) + 1))) == len(a)
+        assert set(islice(a, len(a) + 1)) == {key for key, _ in a.items()}
 
 
 class TestBettiFormat:

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations, combinations_with_replacement
 
 import pytest
 
@@ -74,6 +74,16 @@ class TestGreedyDecompose:
         trace = greedy_decompose(diagram)
         assert trace.table.iterations <= len(diagram)
 
+    def test_every_cell_cleared_once(self):
+        # Strict codim-4 types up to 10, which include the paper's
+        # (1,2,4,8), (3,4,5,7) and (4,5,7,9).
+        for degrees in combinations(range(1, 11), 4):
+            diagram = koszul_betti(CIType(degrees))
+            trace = greedy_decompose(diagram)
+            assert set(trace.table.cells) == set(diagram)
+            assert trace.table.iterations <= len(diagram)
+            assert trace.decomposition.expand() == diagram
+
     def test_determinism(self):
         diagram = koszul_betti(normalize((4, 5, 7, 9)))
         assert greedy_decompose(diagram) == greedy_decompose(diagram)
@@ -107,6 +117,7 @@ class TestNotInCone:
         assert exc.value.partial.terms == ((1, (0, 1, 3)),)
         assert exc.value.residual is not None
         assert not exc.value.residual.is_zero()
+        assert exc.value.residual == bad + exc.value.partial.expand().scale(-1)
 
     def test_empty_middle_column(self):
         with pytest.raises(NotInCone):
@@ -138,7 +149,7 @@ class TestEliminationTable:
     def test_support_and_range(self):
         diagram = koszul_betti(normalize((2, 3, 5)))
         table = elimination_table(diagram)
-        assert set(table.cells) == set(diagram.support)
+        assert set(table.cells) == set(diagram)
         values = set(table.cells.values())
         assert min(values) >= 1
         assert table.iterations in values

@@ -86,11 +86,6 @@ class TestShuffles:
         with pytest.raises(SizeExceeded):
             shuffles([(1,)] * 10, cap=100)
 
-    def test_env_cap(self, monkeypatch):
-        monkeypatch.setenv("BSDECOMP_SHUFFLE_CAP", "3")
-        with pytest.raises(SizeExceeded):
-            shuffles([(1, 2), (3, 4)])
-
 
 class TestProdOf:
     def test_examples(self):
