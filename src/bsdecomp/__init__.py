@@ -36,7 +36,6 @@ from .koszul import CIType, koszul_betti, normalize
 from .greedy import (
     EliminationTable,
     GreedyTrace,
-    elimination_table,
     greedy_decompose,
     verify_symmetric,
 )
@@ -44,7 +43,6 @@ from .closed_forms import (
     FirstElimination,
     closed_form_decomposition,
     codim4_first_elimination,
-    verify_closed_form,
 )
 from .shuffle import (
     ci_shuffle_decomposition,

@@ -52,8 +52,7 @@ class EliminationSignature:
 
 def signature_of(t):
     """Elimination signature of the Koszul diagram of type t."""
-    if not isinstance(t, CIType):
-        t = normalize(t)
+    t = normalize(t)
     n = t.codim
     table = greedy_decompose(koszul_betti(t)).table
     grouped = {}
@@ -114,13 +113,13 @@ def census_records(codim, max_degree, strict):
         yield t, signature_of(t)
 
 
-def run_census(codim, max_degree, strict, witness_cap=WITNESS_CAP):
+def run_census(codim, max_degree, strict):
     """Sweep all bounded degree tuples and aggregate their signatures."""
     report = CensusReport(codim=codim, max_degree=max_degree, strict=strict)
     for t, sig in census_records(codim, max_degree, strict):
         report.swept += 1
         witnesses = report.signatures.setdefault(sig, [])
-        if len(witnesses) < witness_cap:
+        if len(witnesses) < WITNESS_CAP:
             witnesses.append(t.degrees)
         report.signature_totals[sig] = report.signature_totals.get(sig, 0) + 1
         if sig.has_multiple_elimination():

@@ -139,8 +139,6 @@ def run(args, out):
         _print_terms(dec, out)
     elif cmd == "tensor":
         diagrams = [_load_diagram(path) for path in args.infiles]
-        if not diagrams:
-            raise BsdecompError("tensor needs at least one input")
         result = diagrams[0]
         for d in diagrams[1:]:
             result = tensor(result, d)

@@ -9,15 +9,13 @@ or column-2 entry (or several entries at once).
 import enum
 
 from .errors import RequiresStrictDegrees, UnsupportedCodimension
-from .greedy import greedy_decompose
-from .koszul import CIType, koszul_betti, normalize
+from .koszul import normalize
 from .pure import PureSum
 
 __all__ = [
     "FirstElimination",
     "closed_form_decomposition",
     "codim4_first_elimination",
-    "verify_closed_form",
 ]
 
 
@@ -32,8 +30,7 @@ class FirstElimination(enum.Enum):
 
 def closed_form_decomposition(t):
     """Chain decomposition of a complete intersection of codimension 1..3."""
-    if not isinstance(t, CIType):
-        t = normalize(t)
+    t = normalize(t)
     e = t.degrees
     n = t.codim
     if n == 1:
@@ -69,8 +66,7 @@ def codim4_first_elimination(t):
     inequality is reversed, and hits both at once on equality.  The
     direction is pinned by the elimination-table oracle in the tests.
     """
-    if not isinstance(t, CIType):
-        t = normalize(t)
+    t = normalize(t)
     if t.codim != 4:
         raise UnsupportedCodimension(f"predicate needs 4 degrees, got {t.codim}")
     a, b, c, d = t.degrees
@@ -84,11 +80,3 @@ def codim4_first_elimination(t):
         return FirstElimination.COLUMN2
     return FirstElimination.MULTIPLE
 
-
-def verify_closed_form(t):
-    """Cross-check the closed form against the greedy algorithm."""
-    if not isinstance(t, CIType):
-        t = normalize(t)
-    formula = closed_form_decomposition(t)
-    trace = greedy_decompose(koszul_betti(t))
-    return sorted(formula.terms) == sorted(trace.decomposition.terms)

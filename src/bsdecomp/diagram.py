@@ -25,6 +25,9 @@ def _as_fraction(value):
     return Fraction(value)
 
 
+_ZERO_VALUE = Fraction(0)
+
+
 class Diagram:
     """Immutable sparse diagram over the rationals.
 
@@ -62,7 +65,7 @@ class Diagram:
     # -- access ---------------------------------------------------------
 
     def __getitem__(self, key):
-        return self._entries.get(key, Fraction(0))
+        return self._entries.get(key, _ZERO_VALUE)
 
     def __contains__(self, key):
         return key in self._entries
@@ -74,9 +77,6 @@ class Diagram:
     def __iter__(self):
         """The stored cells (i, j), like a dict's keys."""
         return iter(self._entries)
-
-    def is_zero(self):
-        return not self._entries
 
     def __bool__(self):
         return bool(self._entries)
@@ -124,11 +124,6 @@ class Diagram:
         result._hash = None
         return result
 
-    def __mul__(self, q):
-        return self.scale(q)
-
-    __rmul__ = __mul__
-
     def dual(self, n):
         """Entry (i, j) of the result is entry (n - i, -j) of self."""
         if self._entries and n < self.width:
@@ -155,7 +150,7 @@ class Diagram:
         return f"Diagram({dict(self.items())!r})"
 
     def __str__(self):
-        if self.is_zero():
+        if not self:
             return "(zero diagram)"
         cells = {key: format_fraction(v) for key, v in self._entries.items()}
         return render_grid(cells)

@@ -17,7 +17,6 @@ __all__ = [
     "EliminationTable",
     "GreedyTrace",
     "greedy_decompose",
-    "elimination_table",
     "verify_symmetric",
 ]
 
@@ -50,7 +49,7 @@ class GreedyTrace:
 
 def greedy_decompose(a):
     """Run the greedy chain decomposition, returning terms and the table."""
-    if a.is_zero():
+    if not a:
         raise NotInCone("cannot decompose the zero diagram")
     if any(v < 0 for _, v in a.items()):
         raise NotInCone("diagram has negative entries")
@@ -88,11 +87,6 @@ def greedy_decompose(a):
         decomposition=PureSum(tuple(terms)),
         table=EliminationTable(cells=cells, iterations=iteration),
     )
-
-
-def elimination_table(a):
-    """The elimination table of the greedy decomposition of a."""
-    return greedy_decompose(a).table
 
 
 def verify_symmetric(trace, r, n):

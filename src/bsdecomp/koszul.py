@@ -49,7 +49,9 @@ class CIType:
 
 
 def normalize(degrees):
-    """Sort degrees weakly increasing and wrap in a CIType."""
+    """Sort degrees weakly increasing and wrap in a CIType; a CIType is returned as is."""
+    if isinstance(degrees, CIType):
+        return degrees
     degrees = tuple(int(e) for e in degrees)
     if any(e < 1 for e in degrees):
         raise NonPositiveDegree(f"degrees must be >= 1, got {degrees}")
@@ -62,8 +64,7 @@ def koszul_betti(t):
     Subset-sum multiplicities are accumulated one generator at a time,
     which is polynomial in n * sum(e_i) rather than 2^n.
     """
-    if not isinstance(t, CIType):
-        t = normalize(t)
+    t = normalize(t)
     counts = {(0, 0): 1}
     for e in t.degrees:
         new = dict(counts)

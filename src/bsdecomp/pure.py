@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
 
-from .diagram import Diagram, ZERO
+from .diagram import Diagram
 from .errors import EmptyColumn, LengthMismatch, NotADegreeSequence
 
 __all__ = [
@@ -77,10 +77,9 @@ class PureSum:
         lengths = {len(d) for _, d in self.terms}
         if len(lengths) > 1:
             raise LengthMismatch(f"mixed sequence lengths {sorted(lengths)}")
-        total = ZERO
-        for coeff, d in self.terms:
-            total = total + pure(d).scale(coeff)
-        return total
+        return Diagram(
+            (cell, coeff * value) for coeff, d in self.terms for cell, value in pure(d).items()
+        )
 
 
 def leq(c, d):

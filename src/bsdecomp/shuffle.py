@@ -13,7 +13,7 @@ from math import factorial, prod
 
 from .diagram import Diagram
 from .errors import SizeExceeded
-from .koszul import CIType, normalize
+from .koszul import normalize
 from .pure import PureSum, check_degree_sequence, delta, sigma
 
 __all__ = [
@@ -58,26 +58,32 @@ def shuffles(sets, cap=None):
 
     Positions are distinguishable even when values repeat, so the result
     may contain value-equal duplicates.  Enumeration is lexicographic in
-    the choice of which source supplies the next element.
+    the choice of which source supplies the next element.  The cap is
+    checked at the call; the interleavings are then made one at a time.
     """
     sets = [tuple(s) for s in sets]
     _check_cap(shuffle_count([len(s) for s in sets]), cap)
-    out = []
+    return _interleavings(sets)
 
-    def rec(positions, acc):
-        if all(p == len(s) for p, s in zip(positions, sets)):
-            out.append(tuple(acc))
+
+def _interleavings(sets):
+    # Distinct permutations of the source labels in lexicographic order
+    # (next permutation), each mapped to the values it takes in turn.
+    labels = [k for k, s in enumerate(sets) for _ in s]
+    last = len(labels) - 1
+    while True:
+        sources = [iter(s) for s in sets]
+        yield tuple(map(next, map(sources.__getitem__, labels)))
+        i = last - 1
+        while i >= 0 and labels[i] >= labels[i + 1]:
+            i -= 1
+        if i < 0:
             return
-        for k, s in enumerate(sets):
-            if positions[k] < len(s):
-                acc.append(s[positions[k]])
-                positions[k] += 1
-                rec(positions, acc)
-                positions[k] -= 1
-                acc.pop()
-
-    rec([0] * len(sets), [])
-    return out
+        j = last
+        while labels[j] <= labels[i]:
+            j -= 1
+        labels[i], labels[j] = labels[j], labels[i]
+        labels[i + 1:] = labels[:i:-1]
 
 
 def prod_of(s):
@@ -110,18 +116,17 @@ def shuffle_product(ds, cap=None):
 def quotient_by_regular_element(dec, e, cap=None):
     """Decomposition after quotienting by a regular element of degree e.
 
-    Each term (a, d) spreads into the shuffles of delta(d) with the
-    singleton (e), every resulting term scaled by e * a.
+    That is the product with the element's Koszul diagram e * pi(0, e):
+    each term (a, d) becomes e * a times the shuffle product of d and (0, e).
     """
     e = int(e)
     if e < 1:
         raise ValueError(f"element degree must be >= 1, got {e}")
-    pairs = []
-    for coeff, d in dec:
-        d = check_degree_sequence(d)
-        for s in shuffles([delta(d), (e,)], cap=cap):
-            pairs.append((e * Fraction(coeff), sigma(s, d[0])))
-    return PureSum.merged(pairs)
+    return PureSum.merged(
+        (e * Fraction(coeff) * c, p)
+        for coeff, d in dec
+        for c, p in shuffle_product([d, (0, e)], cap=cap)
+    )
 
 
 def ci_shuffle_decomposition(t, cap=None):
@@ -131,8 +136,7 @@ def ci_shuffle_decomposition(t, cap=None):
     generator degrees of the pure diagram on their partial sums.
     Value-equal orderings merge with integer multiplicities.
     """
-    if not isinstance(t, CIType):
-        t = normalize(t)
+    t = normalize(t)
     _check_cap(factorial(t.codim), cap)
     mult = t.multiplicity
     return PureSum.merged(

@@ -13,7 +13,6 @@ from bsdecomp import (
     ci_shuffle_decomposition,
     closed_form_decomposition,
     codim4_first_elimination,
-    elimination_table,
     greedy_decompose,
     koszul_betti,
     normalize,
@@ -102,11 +101,11 @@ def test_criterion_4_elimination_tables():
         (4, 5, 7, 9): ELIM_TABLE_4_5_7_9,
     }
     for degrees, grid in expected.items():
-        table = elimination_table(koszul_betti(CIType(degrees)))
+        table = greedy_decompose(koszul_betti(CIType(degrees))).table
         got = [line.split() for line in table.grid().splitlines()]
         want = [line.split() for line in grid.splitlines()]
         assert got == want, degrees
-    table = elimination_table(koszul_betti(CIType((4, 5, 7, 9))))
+    table = greedy_decompose(koszul_betti(CIType((4, 5, 7, 9)))).table
     assert table.iterations == 8
     assert table.multiple_iterations() == {1, 2, 6, 7, 8}
 
@@ -169,7 +168,7 @@ def test_criterion_10_codim4_predicate():
     for degrees in combinations(range(1, 9), 4):
         t = CIType(degrees)
         predicted = codim4_first_elimination(t)
-        table = elimination_table(koszul_betti(t))
+        table = greedy_decompose(koszul_betti(t)).table
         observed = sorted({i for (i, _), it in table.cells.items() if it == 1})
         if predicted is FirstElimination.MULTIPLE:
             assert len(observed) >= 2, degrees
@@ -184,7 +183,7 @@ def test_criterion_10_codim4_predicate():
     ]
     assert witnesses, "no equality tuple with d <= 20"
     for t in witnesses:
-        table = elimination_table(koszul_betti(t))
+        table = greedy_decompose(koszul_betti(t)).table
         assert sum(1 for it in table.cells.values() if it == 1) >= 2, t.degrees
 
 

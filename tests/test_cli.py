@@ -1,10 +1,16 @@
 import io
 import re
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bsdecomp.cli import build_parser, main, run
 from bsdecomp.reference import ELIM_TABLE_1_2_4_8
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def invoke(argv):
@@ -102,6 +108,26 @@ class TestOtherCommands:
         assert code == 0
         assert "294\t(0,7,9,12,16)" in text
 
+    @pytest.mark.parametrize(
+        "argv, golden",
+        [
+            (["quotient", "--degrees", "2,3,4", "--element", "7"], "quotient_2_3_4_by_7.txt"),
+            (
+                ["shuffle", "--seq", "0,1,3", "--seq", "0,2,3", "--seq", "1,2,5"],
+                "shuffle_013_023_125.txt",
+            ),
+        ],
+    )
+    def test_ordered_golden(self, argv, golden):
+        assert invoke(argv) == (0, (GOLDEN / golden).read_text())
+
+    def test_shuffle_long_sequence(self, capsys):
+        seq = ",".join(str(k) for k in range(1201))
+        assert main(["shuffle", "--seq", seq]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == f"1\t({seq})\n"
+        assert captured.err == ""
+
     def test_quotient_from_file(self, tmp_path):
         _, terms = invoke(["decompose", "--degrees", "2,3,4"])
         path = tmp_path / "dec.txt"
@@ -184,3 +210,112 @@ class TestErrors:
     def test_missing_file(self, capsys):
         code = main(["decompose", "--in", "/nonexistent.betti"])
         assert code == 1
+
+
+# -- fuzzing the CLI contract -------------------------------------------
+
+JUNK = st.text(alphabet="0123456789,-/x ()", max_size=6)
+
+
+def mostly(valid, malformed=JUNK):
+    """Three draws in four from `valid`, the rest from `malformed`."""
+    return st.integers(0, 3).flatmap(lambda k: valid if k else malformed)
+
+
+def joined(xs):
+    return ",".join(map(str, xs))
+
+
+def betti_text(cells):
+    return "BETTI 1\n" + "".join(f"{i}\t{j}\t{v}\n" for (i, j), v in sorted(cells.items()))
+
+
+DEGREES = mostly(st.lists(st.integers(1, 9), max_size=5).map(joined))
+SEQ = mostly(st.sets(st.integers(-3, 9), min_size=1, max_size=3).map(sorted).map(joined))
+INT = mostly(st.integers(-2, 9).map(str))
+VALUE = mostly(st.sampled_from(["1", "2", "1/2", "3", "-1"]), st.sampled_from(["0", "2/4", "x"]))
+CELL = st.tuples(st.integers(0, 3), st.integers(-2, 9))
+BETTI = mostly(st.dictionaries(CELL, VALUE, max_size=6).map(betti_text))
+TERMS = st.lists(
+    st.tuples(st.sampled_from(["1", "-2", "1/3", "0", "1/0", "x", ""]), SEQ),
+    min_size=1,
+    max_size=4,
+).map(lambda terms: "".join(f"{c}\t({q})\n" for c, q in terms))
+COMMANDS = (
+    "ci-betti", "decompose", "elim-table", "closed-form", "predict-first-elim",
+    "shuffle", "ci-shuffle", "tensor", "quotient", "census", "verify-paper",
+)
+
+
+@st.composite
+def cli_calls(draw, command):
+    """(argv, {file name: contents}) for a subcommand, some malformed.
+
+    Values are passed as `--flag=value` so that one starting with `-` is
+    read as a value; `@name` stands for the file's path.  One call in ten
+    drops a token, a usage error.
+    """
+    files = {}
+
+    def infile(contents):
+        name = f"f{len(files)}"
+        files[name] = draw(contents)
+        return [f"--in=@{name}"]
+
+    def option(flag, values):
+        return [f"{flag}={draw(values)}"] if draw(st.booleans()) else []
+
+    def source(contents):
+        return [f"--degrees={draw(DEGREES)}"] if draw(st.booleans()) else infile(contents)
+
+    argv = [command]
+    if command in ("ci-betti", "closed-form", "predict-first-elim"):
+        argv += [f"--degrees={draw(DEGREES)}"]
+    elif command in ("decompose", "elim-table"):
+        argv += source(BETTI)
+    elif command == "shuffle":
+        argv += [f"--seq={seq}" for seq in draw(st.lists(SEQ, min_size=1, max_size=3))]
+        argv += option("--shuffle-cap", INT)
+    elif command == "ci-shuffle":
+        argv += [f"--degrees={draw(DEGREES)}"] + option("--shuffle-cap", INT)
+    elif command == "tensor":
+        for _ in range(draw(st.integers(1, 3))):
+            argv += infile(BETTI)
+    elif command == "quotient":
+        argv += source(TERMS) + [f"--element={draw(INT)}"] + option("--shuffle-cap", INT)
+    elif command == "census":
+        argv += [f"--codim={draw(mostly(st.sampled_from(['4', '5'])))}"]
+        # Malformed bounds stay non-numeric: "82 " would sweep thousands of tuples.
+        bound = mostly(st.integers(-1, 6).map(str), st.sampled_from(["", "x", "1.5", "6x"]))
+        argv += [f"--max-degree={draw(bound)}"]
+        argv += option("--format", mostly(st.sampled_from(["text", "tsv"])))
+        argv += ["--strict"] if draw(st.booleans()) else []
+    if draw(st.integers(0, 9)) == 0:
+        del argv[draw(st.integers(0, len(argv) - 1))]
+    return argv, files
+
+
+class TestContractFuzz:
+    @pytest.mark.parametrize("command", COMMANDS)
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_exit_codes_and_one_error_line(self, command, data):
+        argv, files = data.draw(cli_calls(command))
+        out, err = io.StringIO(), io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp:
+            for name, text in files.items():
+                Path(tmp, name).write_text(text)
+            argv = [a.replace("=@", f"={tmp}/") for a in argv]
+            with redirect_stdout(out), redirect_stderr(err):
+                try:
+                    code = main(argv)
+                except SystemExit as exc:
+                    code = exc.code
+        err = err.getvalue()
+        assert code in (0, 1, 2), (argv, code)
+        assert "Traceback" not in err
+        if code == 0:
+            assert err == ""
+        if code == 1:
+            assert len(err.splitlines()) == 1, err
+            assert re.match(r"^\w+: ", err), err

@@ -7,17 +7,15 @@ from bsdecomp import (
     FirstElimination,
     closed_form_decomposition,
     codim4_first_elimination,
-    elimination_table,
     greedy_decompose,
     koszul_betti,
     normalize,
-    verify_closed_form,
 )
 from bsdecomp.errors import RequiresStrictDegrees, UnsupportedCodimension
 
 
 def observed_first_columns(degrees):
-    table = elimination_table(koszul_betti(CIType(degrees)))
+    table = greedy_decompose(koszul_betti(CIType(degrees))).table
     return sorted({i for (i, _), it in table.cells.items() if it == 1})
 
 
@@ -61,16 +59,6 @@ class TestClosedForm:
 
 
 class TestVerifyClosedForm:
-    def test_samples(self):
-        assert verify_closed_form(normalize((2, 3, 7)))
-        assert verify_closed_form(normalize((1, 1, 1)))
-        assert verify_closed_form(normalize((5,)))
-
-    def test_exhaustive_up_to_8(self):
-        for n in (1, 2, 3):
-            for degrees in combinations_with_replacement(range(1, 9), n):
-                assert verify_closed_form(CIType(degrees)), degrees
-
     def test_greedy_term_order_up_to_10(self):
         # Not sorted: the closed form lists the chain in greedy order.
         for n in (1, 2, 3):
@@ -99,7 +87,7 @@ class TestCodim4Predicate:
         assert witnesses, "no equality tuple with d <= 20"
         for degrees in witnesses:
             assert codim4_first_elimination(CIType(degrees)) is FirstElimination.MULTIPLE
-            table = elimination_table(koszul_betti(CIType(degrees)))
+            table = greedy_decompose(koszul_betti(CIType(degrees))).table
             assert sum(1 for it in table.cells.values() if it == 1) >= 2
 
     def test_agrees_with_tables_up_to_8(self):

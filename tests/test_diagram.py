@@ -33,7 +33,7 @@ class TestAlgebra:
         assert total[(0, 0)] == 1
 
     def test_add_inverse(self, sample_diagram):
-        assert sample_diagram + (-1) * sample_diagram == ZERO
+        assert sample_diagram + sample_diagram.scale(-1) == ZERO
 
     def test_scale_one(self, sample_diagram):
         assert sample_diagram.scale(1) == sample_diagram

@@ -17,6 +17,10 @@ class TestCIType:
     def test_normalize_singleton(self):
         assert normalize((3,)).degrees == (3,)
 
+    def test_normalize_returns_citype_unchanged(self):
+        t = CIType((1, 2, 2))
+        assert normalize(t) is t
+
     def test_rejects_nonpositive(self):
         with pytest.raises(NonPositiveDegree):
             normalize((0, 2))

@@ -1,5 +1,7 @@
 import random
+import tracemalloc
 from fractions import Fraction
+from itertools import permutations
 from math import comb
 
 import pytest
@@ -60,7 +62,7 @@ class TestTensor:
 
 class TestShuffles:
     def test_example_interleavings(self):
-        result = shuffles([(3, 2), (1, 5)])
+        result = list(shuffles([(3, 2), (1, 5)]))
         assert result == [
             (3, 2, 1, 5),
             (3, 1, 2, 5),
@@ -71,20 +73,47 @@ class TestShuffles:
         ]
 
     def test_single_set(self):
-        assert shuffles([(7,)]) == [(7,)]
+        assert list(shuffles([(7,)])) == [(7,)]
 
     def test_repeated_singletons_distinguishable(self):
-        assert shuffles([(2,), (2,)]) == [(2, 2), (2, 2)]
+        assert list(shuffles([(2,), (2,)])) == [(2, 2), (2, 2)]
 
     def test_count_binomial(self):
         for a, b in ((2, 2), (3, 1), (4, 3)):
-            result = shuffles([tuple(range(1, a + 1)), tuple(range(1, b + 1))])
+            result = list(shuffles([tuple(range(1, a + 1)), tuple(range(1, b + 1))]))
             assert len(result) == comb(a + b, a)
             assert shuffle_count((a, b)) == comb(a + b, a)
 
     def test_cap(self):
         with pytest.raises(SizeExceeded):
             shuffles([(1,)] * 10, cap=100)
+
+    def test_order_oracle(self):
+        # Lexicographic in the source labels: the sorted distinct
+        # permutations of the label multiset, each mapped to values.
+        rng = random.Random(7)
+        for _ in range(300):
+            sizes = [rng.randint(0, 3) for _ in range(rng.randint(0, 4))]
+            while sum(sizes) > 7:  # at most 7! label orders
+                sizes.remove(max(sizes))
+            sets = [tuple(rng.randint(0, 5) for _ in range(n)) for n in sizes]
+            labels = [k for k, s in enumerate(sets) for _ in s]
+            expected = []
+            for order in sorted(set(permutations(labels))):
+                sources = [iter(s) for s in sets]
+                expected.append(tuple(next(sources[k]) for k in order))
+            assert list(shuffles(sets)) == expected, sets
+
+    def test_first_item_is_lazy(self):
+        sets = [tuple(range(1, 11))] * 2  # 184,756 interleavings
+        tracemalloc.start()
+        try:
+            first = next(shuffles(sets))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert first == sets[0] + sets[1]
+        assert peak < 2**20
 
 
 class TestProdOf:
@@ -140,6 +169,22 @@ class TestQuotient:
     def test_rejects_nonpositive_degree(self):
         with pytest.raises(ValueError):
             quotient_by_regular_element([(1, (0, 1))], 0)
+
+    def test_oracle_tensor_with_koszul(self):
+        # Quotienting multiplies the diagram by that of the element, e * pi(0, e).
+        rng = random.Random(3)
+        for _ in range(100):
+            d = sorted(rng.sample(range(-4, 8), rng.randint(1, 4)))
+            chain = []
+            for _ in range(rng.randint(1, 4)):
+                chain.append((Fraction(rng.randint(1, 9), rng.randint(1, 4)), tuple(d)))
+                k = rng.randrange(len(d))
+                if k == len(d) - 1 or d[k] + 1 < d[k + 1]:
+                    d[k] += 1
+            dec = PureSum(tuple(chain))
+            e = rng.randint(1, 5)
+            got = quotient_by_regular_element(dec, e).expand()
+            assert got == tensor(dec.expand(), koszul_betti((e,))), (chain, e)
 
 
 class TestCIShuffle:
