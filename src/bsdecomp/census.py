@@ -14,6 +14,7 @@ from itertools import combinations, combinations_with_replacement
 from .closed_forms import FirstElimination, codim4_first_elimination
 from .greedy import greedy_decompose
 from .koszul import CIType, koszul_betti, normalize
+from .pure import format_sequence
 
 __all__ = [
     "EliminationSignature",
@@ -165,7 +166,7 @@ def format_report(report):
         report.signatures.items(), key=lambda kv: min(kv[1])
     )
     for sig, witnesses in ordered:
-        shown = " ".join("(" + ",".join(map(str, w)) + ")" for w in witnesses)
+        shown = " ".join(format_sequence(w) for w in witnesses)
         total = report.signature_totals[sig]
         flag = " [multiple]" if sig.has_multiple_elimination() else ""
         lines.append(f"{sig.format()}{flag}")

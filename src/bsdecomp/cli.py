@@ -173,6 +173,10 @@ def run(args, out):
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
+    # Python 3.12 and older read the value of `--opt=--` as [], also inside an append list.
+    for dest, value in vars(args).items():
+        if value == [] or isinstance(value, list) and [] in value:
+            parser.error(f"argument {dest}: '--' is not a value")
     try:
         return run(args, sys.stdout)
     except (BsdecompError, ValueError) as exc:

@@ -35,15 +35,10 @@ class Diagram:
     repeated keys are summed and zero results dropped.
     """
 
-    __slots__ = ("_entries", "_hash")
+    __slots__ = ("_entries",)
 
     def __init__(self, entries=()):
-        if isinstance(entries, Diagram):
-            items = entries._entries.items()
-        elif isinstance(entries, dict):
-            items = entries.items()
-        else:
-            items = entries
+        items = entries.items() if isinstance(entries, (dict, Diagram)) else entries
         acc = {}
         for (i, j), value in items:
             i = int(i)
@@ -60,7 +55,13 @@ class Diagram:
             else:
                 acc[key] = total
         self._entries = acc
-        self._hash = None
+
+    @classmethod
+    def _of(cls, entries):
+        """Wrap a dict of nonzero Fractions at valid cells, unchecked and uncopied."""
+        result = cls.__new__(cls)
+        result._entries = entries
+        return result
 
     # -- access ---------------------------------------------------------
 
@@ -110,19 +111,13 @@ class Diagram:
                 acc.pop(key, None)
             else:
                 acc[key] = total
-        result = Diagram.__new__(Diagram)
-        result._entries = acc
-        result._hash = None
-        return result
+        return Diagram._of(acc)
 
     def scale(self, q):
         q = _as_fraction(q)
         if q == 0:
             return ZERO
-        result = Diagram.__new__(Diagram)
-        result._entries = {k: q * v for k, v in self._entries.items()}
-        result._hash = None
-        return result
+        return Diagram._of({k: q * v for k, v in self._entries.items()})
 
     def dual(self, n):
         """Entry (i, j) of the result is entry (n - i, -j) of self."""
@@ -142,9 +137,7 @@ class Diagram:
         return self._entries == other._entries
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash(frozenset(self._entries.items()))
-        return self._hash
+        return hash(frozenset(self._entries.items()))
 
     def __repr__(self):
         return f"Diagram({dict(self.items())!r})"
@@ -246,4 +239,4 @@ def parse_betti(text):
             raise BettiFormatError("entries must be sorted by (i, j)", lineno)
         previous = (i, j)
         entries[(i, j)] = value
-    return Diagram(entries)
+    return Diagram._of(entries)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 from .diagram import Diagram, render_grid
 from .errors import EmptyColumn, NotADegreeSequence, NotInCone
-from .pure import PureSum, check_degree_sequence, min_degree_sequence, pure
+from .pure import PureSum, min_degree_sequence, pure
 
 __all__ = [
     "EliminationTable",
@@ -55,17 +55,18 @@ def greedy_decompose(a):
         raise NotInCone("diagram has negative entries")
     width = a.width
     residual = dict(a.items())
+    top = sum(i == width for i, _ in residual)  # cells left in column `width`
     terms = []
     cells = {}
     iteration = 0
 
     def stuck(message):
-        return NotInCone(message, partial=PureSum(tuple(terms)), residual=Diagram(residual))
+        return NotInCone(message, partial=PureSum(tuple(terms)), residual=Diagram._of(residual))
 
     # Each step clears the cell attaining q, so there are at most len(a) steps.
     while residual:
         iteration += 1
-        if max(i for i, _ in residual) != width:
+        if not top:
             raise stuck(f"column {width} emptied while lower columns remain")
         try:
             d = min_degree_sequence(residual)
@@ -83,6 +84,7 @@ def greedy_decompose(a):
             else:
                 del residual[key]
                 cells[key] = iteration
+                top -= key[0] == width
     return GreedyTrace(
         decomposition=PureSum(tuple(terms)),
         table=EliminationTable(cells=cells, iterations=iteration),
@@ -105,7 +107,6 @@ def verify_symmetric(trace, r, n):
         a_mirror, d_mirror = terms[m - 1 - k]
         if a_k != a_mirror:
             return False
-        d_k = check_degree_sequence(d_k)
         if pure(d_mirror) != pure(d_k).dual(n).twist(-shift):
             return False
     return True

@@ -9,6 +9,7 @@ pure diagrams is a PureSum.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from math import prod
 
 from .diagram import Diagram
@@ -29,7 +30,11 @@ __all__ = [
 
 def check_degree_sequence(d):
     """Validate and normalize to a tuple of ints; must be strictly increasing."""
-    d = tuple(int(x) for x in d)
+    return _increasing(tuple(int(x) for x in d))
+
+
+def _increasing(d):
+    """A nonempty, strictly increasing tuple of ints, returned as is."""
     if not d:
         raise NotADegreeSequence("a degree sequence must be nonempty")
     for a, b in zip(d, d[1:]):
@@ -41,11 +46,10 @@ def check_degree_sequence(d):
 def pure(d):
     """The normalized pure diagram on degree sequence d."""
     d = check_degree_sequence(d)
-    entries = {}
-    for i, di in enumerate(d):
-        denom = prod(abs(di - dk) for k, dk in enumerate(d) if k != i)
-        entries[(i, di)] = Fraction(1, denom)
-    return Diagram(entries)
+    return Diagram._of({
+        (i, di): Fraction(1, prod(abs(di - dk) for k, dk in enumerate(d) if k != i))
+        for i, di in enumerate(d)
+    })
 
 
 @dataclass(frozen=True)
@@ -99,10 +103,7 @@ def delta(d):
 
 def sigma(s, e):
     """Partial-sum sequence of length |s| + 1 starting at e; inverse of delta."""
-    out = [int(e)]
-    for gap in s:
-        out.append(out[-1] + int(gap))
-    return check_degree_sequence(out)
+    return check_degree_sequence(accumulate(map(int, s), initial=int(e)))
 
 
 def min_degree_sequence(a):
@@ -117,7 +118,7 @@ def min_degree_sequence(a):
     for i in columns:
         if i not in minima:
             raise EmptyColumn(f"column {i} has no entries")
-    return check_degree_sequence(minima[i] for i in columns)
+    return _increasing(tuple(minima[i] for i in columns))
 
 
 def format_sequence(d):

@@ -8,13 +8,13 @@ other than shuffle multiplicities appear with this normalization.
 """
 
 from fractions import Fraction
-from itertools import permutations
+from itertools import accumulate
 from math import factorial, prod
 
 from .diagram import Diagram
 from .errors import SizeExceeded
 from .koszul import normalize
-from .pure import PureSum, check_degree_sequence, delta, sigma
+from .pure import PureSum, check_degree_sequence, delta
 
 __all__ = [
     "DEFAULT_SHUFFLE_CAP",
@@ -46,13 +46,6 @@ def shuffle_count(sizes):
     return factorial(sum(sizes)) // prod(factorial(s) for s in sizes)
 
 
-def _check_cap(count, cap):
-    if cap is None:
-        cap = DEFAULT_SHUFFLE_CAP
-    if count > cap:
-        raise SizeExceeded(f"{count} shuffles exceed the cap of {cap}")
-
-
 def shuffles(sets, cap=None):
     """All interleavings preserving each input sequence's internal order.
 
@@ -62,7 +55,10 @@ def shuffles(sets, cap=None):
     checked at the call; the interleavings are then made one at a time.
     """
     sets = [tuple(s) for s in sets]
-    _check_cap(shuffle_count([len(s) for s in sets]), cap)
+    count = shuffle_count([len(s) for s in sets])
+    cap = DEFAULT_SHUFFLE_CAP if cap is None else cap
+    if count > cap:
+        raise SizeExceeded(f"{count} shuffles exceed the cap of {cap}")
     return _interleavings(sets)
 
 
@@ -96,21 +92,25 @@ def prod_of(s):
     return Fraction(result)
 
 
+def _product_sequences(ds, cap):
+    """The multiplication law: the partial sums, from the summed starting
+    degrees, of each shuffle of the factors' (positive) first differences."""
+    ds = [check_degree_sequence(d) for d in ds]
+    start = sum(d[0] for d in ds)
+    for s in shuffles([delta(d) for d in ds], cap=cap):
+        yield tuple(accumulate(s, initial=start))
+
+
 def shuffle_product(ds, cap=None):
     """Expand a product of pure diagrams as a merged sum of pure diagrams.
 
-    Each shuffle of the factors' first differences contributes one term
-    pi<partial sums from the summed starting degrees> with coefficient 1;
+    Each shuffle contributes its pure diagram with coefficient 1;
     merging counts coincidences.
     """
-    ds = [check_degree_sequence(d) for d in ds]
+    ds = list(ds)
     if not ds:
         raise ValueError("need at least one degree sequence")
-    start = sum(d[0] for d in ds)
-    diffs = [delta(d) for d in ds]
-    return PureSum.merged(
-        (1, sigma(s, start)) for s in shuffles(diffs, cap=cap)
-    )
+    return PureSum.merged((1, p) for p in _product_sequences(ds, cap))
 
 
 def quotient_by_regular_element(dec, e, cap=None):
@@ -123,24 +123,23 @@ def quotient_by_regular_element(dec, e, cap=None):
     if e < 1:
         raise ValueError(f"element degree must be >= 1, got {e}")
     return PureSum.merged(
-        (e * Fraction(coeff) * c, p)
+        (e * Fraction(coeff), p)
         for coeff, d in dec
-        for c, p in shuffle_product([d, (0, e)], cap=cap)
+        for p in _product_sequences([d, (0, e)], cap)
     )
 
 
 def ci_shuffle_decomposition(t, cap=None):
     """Order-free decomposition of a complete intersection's diagram.
 
-    The multiplicity prod(e_i) times the sum over all orderings of the
-    generator degrees of the pure diagram on their partial sums.
-    Value-equal orderings merge with integer multiplicities.
+    The product of the generators' Koszul diagrams e_i * pi(0, e_i):
+    prod(e_i) times one pure diagram per ordering of the degrees, on
+    their partial sums.  Value-equal orderings merge.
     """
     t = normalize(t)
-    _check_cap(factorial(t.codim), cap)
     mult = t.multiplicity
     return PureSum.merged(
-        (mult, sigma(p, 0)) for p in permutations(t.degrees)
+        (mult, p) for p in _product_sequences([(0, e) for e in t.degrees], cap)
     )
 
 

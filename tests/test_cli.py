@@ -1,5 +1,6 @@
 import io
 import re
+import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -116,10 +117,17 @@ class TestOtherCommands:
                 ["shuffle", "--seq", "0,1,3", "--seq", "0,2,3", "--seq", "1,2,5"],
                 "shuffle_013_023_125.txt",
             ),
+            (["ci-shuffle", "--degrees", "1,1,2,2,3"], "ci_shuffle_1_1_2_2_3.txt"),
+            (["ci-shuffle", "--degrees", "2,3,4,7"], "ci_shuffle_2_3_4_7.txt"),
         ],
     )
     def test_ordered_golden(self, argv, golden):
         assert invoke(argv) == (0, (GOLDEN / golden).read_text())
+
+    def test_ci_shuffle_cap_flag(self, capsys):
+        code = main(["ci-shuffle", "--degrees", "1,2,3,4,5", "--shuffle-cap", "119"])
+        assert code == 1
+        assert capsys.readouterr().err == "SizeExceeded: 120 shuffles exceed the cap of 119\n"
 
     def test_shuffle_long_sequence(self, capsys):
         seq = ",".join(str(k) for k in range(1201))
@@ -200,6 +208,40 @@ class TestErrors:
         assert "Traceback" not in err
         assert len(err.splitlines()) == 1
         assert re.match(r"^\w+: ", err)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["ci-betti", "--degrees=--"],
+            ["decompose", "--degrees=--"],
+            ["decompose", "--in=--"],
+            ["elim-table", "--degrees=--"],
+            ["elim-table", "--in=--"],
+            ["closed-form", "--degrees=--"],
+            ["predict-first-elim", "--degrees=--"],
+            ["shuffle", "--seq=--"],
+            ["shuffle", "--seq=0,1", "--seq=--"],
+            ["shuffle", "--seq=0,1", "--shuffle-cap=--"],
+            ["ci-shuffle", "--degrees=--"],
+            ["ci-shuffle", "--degrees=1,2", "--shuffle-cap=--"],
+            ["tensor", "--in=--"],
+            ["quotient", "--degrees=--", "--element=2"],
+            ["quotient", "--in=--", "--element=2"],
+            ["quotient", "--degrees=2,3", "--element=--"],
+            ["quotient", "--degrees=2,3", "--element=2", "--shuffle-cap=--"],
+            ["census", "--codim=--", "--max-degree=4"],
+            ["census", "--codim=4", "--max-degree=--"],
+            ["census", "--codim=4", "--max-degree=4", "--format=--"],
+        ],
+    )
+    @pytest.mark.skipif(sys.version_info >= (3, 13), reason="argparse reads '--' as the value")
+    def test_lone_dashes_value_is_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.splitlines()[-1].startswith("bsdecomp: error: ")
 
     def test_terms_file_error_names_line(self, tmp_path, capsys):
         path = tmp_path / "terms.txt"

@@ -83,6 +83,18 @@ class TestGreedyDecompose:
             assert trace.table.iterations <= len(diagram)
             assert trace.decomposition.expand() == diagram
 
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_scale_invariance(self, k):
+        # Scaling a type by k scales the diagram's degrees by k, so each
+        # term (q, d) becomes (k^n q, k d).
+        for n in range(1, 5):
+            for degrees in combinations_with_replacement(range(1, 7), n):
+                terms = greedy_decompose(koszul_betti(CIType(degrees))).decomposition.terms
+                scaled = greedy_decompose(koszul_betti(CIType(tuple(k * e for e in degrees))))
+                assert scaled.decomposition.terms == tuple(
+                    (k**n * q, tuple(k * x for x in d)) for q, d in terms
+                ), degrees
+
     def test_determinism(self):
         diagram = koszul_betti(normalize((4, 5, 7, 9)))
         assert greedy_decompose(diagram) == greedy_decompose(diagram)

@@ -61,6 +61,13 @@ class TestPure:
         assert pure(d)[(0, d[0])] * prod(dk - d[0] for dk in d[1:]) == 1
 
     @given(degree_sequences)
+    def test_unchecked_build_equals_checked(self, d):
+        p = pure(d)
+        checked = Diagram(p.items())
+        assert p == checked and checked == p
+        assert hash(p) == hash(checked)
+
+    @given(degree_sequences)
     def test_dual_of_pure_is_pure(self, d):
         n = len(d) - 1
         mirrored = tuple(-x for x in reversed(d))
