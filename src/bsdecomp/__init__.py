@@ -26,11 +26,9 @@ from .pure import (
     check_degree_sequence,
     delta,
     format_sequence,
-    leq,
     min_degree_sequence,
     parse_sequence,
     pure,
-    sigma,
 )
 from .koszul import CIType, koszul_betti, normalize
 from .greedy import (

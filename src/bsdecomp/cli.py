@@ -7,6 +7,7 @@ stderr; usage errors exit 2.
 """
 
 import argparse
+import functools
 import sys
 from fractions import Fraction
 
@@ -63,7 +64,9 @@ def _input_diagram(args):
     return _load_diagram(args.infile)
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process and shared by every call."""
     parser = argparse.ArgumentParser(
         prog="bsdecomp",
         description="Exact decompositions of Betti diagrams into pure diagrams.",

@@ -68,9 +68,6 @@ class Diagram:
     def __getitem__(self, key):
         return self._entries.get(key, _ZERO_VALUE)
 
-    def __contains__(self, key):
-        return key in self._entries
-
     def items(self):
         """Entries sorted by (i, j)."""
         return sorted(self._entries.items())
@@ -92,13 +89,6 @@ class Diagram:
             raise ValueError("empty diagram has no width")
         return max(i for i, _ in self._entries)
 
-    @property
-    def regularity(self):
-        """Largest j - i over stored entries."""
-        if not self._entries:
-            raise ValueError("empty diagram has no regularity")
-        return max(j - i for i, j in self._entries)
-
     # -- algebra --------------------------------------------------------
 
     def __add__(self, other):
@@ -118,16 +108,6 @@ class Diagram:
         if q == 0:
             return ZERO
         return Diagram._of({k: q * v for k, v in self._entries.items()})
-
-    def dual(self, n):
-        """Entry (i, j) of the result is entry (n - i, -j) of self."""
-        if self._entries and n < self.width:
-            raise ValueError(f"n = {n} is smaller than width {self.width}")
-        return Diagram(((n - i, -j), v) for (i, j), v in self._entries.items())
-
-    def twist(self, r):
-        """Entry (i, j) of the result is entry (i, r + j) of self."""
-        return Diagram(((i, j - r), v) for (i, j), v in self._entries.items())
 
     # -- identity -------------------------------------------------------
 
@@ -160,20 +140,21 @@ def format_fraction(q):
     return f"{q.numerator}/{q.denominator}"
 
 
-def render_grid(cells, blank="."):
+def render_grid(cells):
     """Render sparse cells {(i, j): str} in the conventional grid layout.
 
     Grid row r holds the cells (i, r + i): rows are indexed by j - i,
-    columns by i.  Columns are right-aligned and space-separated.
+    columns by i.  Columns are right-aligned and space-separated; an empty
+    cell, or an empty grid, is shown as ".".
     """
     if not cells:
-        return blank
+        return "."
     rows = [j - i for i, j in cells]
     cols = [i for i, _ in cells]
     lo, hi = min(rows), max(rows)
     ncols = max(cols) + 1
     grid = [
-        [cells.get((i, r + i), blank) for i in range(ncols)]
+        [cells.get((i, r + i), ".") for i in range(ncols)]
         for r in range(lo, hi + 1)
     ]
     widths = [max(len(line[i]) for line in grid) for i in range(ncols)]

@@ -28,10 +28,8 @@ class EliminationTable:
     cells: dict
     iterations: int
 
-    def grid(self, blank="."):
-        return render_grid(
-            {key: str(it) for key, it in self.cells.items()}, blank=blank
-        )
+    def grid(self):
+        return render_grid({key: str(it) for key, it in self.cells.items()})
 
     def multiple_iterations(self):
         """Iterations that zero two or more cells (including the final one)."""
@@ -95,9 +93,10 @@ def verify_symmetric(trace, r, n):
     """Check the palindromic symmetry of a chain decomposition.
 
     For a self-dual (Gorenstein) diagram of width n and regularity r the
-    mirror of term k is term s - k: equal coefficient, and its pure
-    diagram equals the dual of term k's, shifted back by the top degree
-    r + n.  Returns False on any asymmetry.
+    terms read the same from both ends: the k-th term from the end has
+    the coefficient of the k-th term and its degree sequence mirrored in
+    the top degree r + n, (r + n - d_n, ..., r + n - d_0).  Every d_k
+    must have n + 1 entries.  Returns False on any asymmetry.
     """
     terms = trace.decomposition.terms
     shift = r + n
@@ -105,8 +104,8 @@ def verify_symmetric(trace, r, n):
     for k in range((m + 1) // 2):
         a_k, d_k = terms[k]
         a_mirror, d_mirror = terms[m - 1 - k]
-        if a_k != a_mirror:
+        if len(d_k) != n + 1 or a_k != a_mirror:
             return False
-        if pure(d_mirror) != pure(d_k).dual(n).twist(-shift):
+        if d_mirror != tuple(shift - x for x in reversed(d_k)):
             return False
     return True

@@ -43,10 +43,6 @@ class CIType:
     def regularity(self):
         return sum(e - 1 for e in self.degrees)
 
-    @property
-    def socle_degree(self):
-        return sum(self.degrees)
-
 
 def normalize(degrees):
     """Sort degrees weakly increasing and wrap in a CIType; a CIType is returned as is."""

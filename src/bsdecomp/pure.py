@@ -2,14 +2,13 @@
 
 A degree sequence is a strictly increasing integer tuple (d_0, ..., d_n).
 The pure diagram on d has one entry per column, at (i, d_i), with value
-prod_{k != i} 1/|d_i - d_k|.  First differences and partial sums convert
-between degree sequences and tuples of positive gaps.  A formal sum of
-pure diagrams is a PureSum.
+prod_{k != i} 1/|d_i - d_k|.  First differences turn a degree sequence
+into its tuple of positive gaps.  A formal sum of pure diagrams is a
+PureSum.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
 from math import prod
 
 from .diagram import Diagram
@@ -19,9 +18,7 @@ __all__ = [
     "PureSum",
     "check_degree_sequence",
     "pure",
-    "leq",
     "delta",
-    "sigma",
     "min_degree_sequence",
     "format_sequence",
     "parse_sequence",
@@ -86,24 +83,10 @@ class PureSum:
         )
 
 
-def leq(c, d):
-    """Componentwise comparison of two equal-length degree sequences."""
-    c = check_degree_sequence(c)
-    d = check_degree_sequence(d)
-    if len(c) != len(d):
-        raise LengthMismatch(f"lengths {len(c)} and {len(d)} differ")
-    return all(a <= b for a, b in zip(c, d))
-
-
 def delta(d):
     """First differences (d_1 - d_0, ..., d_n - d_{n-1})."""
     d = check_degree_sequence(d)
     return tuple(b - a for a, b in zip(d, d[1:]))
-
-
-def sigma(s, e):
-    """Partial-sum sequence of length |s| + 1 starting at e; inverse of delta."""
-    return check_degree_sequence(accumulate(map(int, s), initial=int(e)))
 
 
 def min_degree_sequence(a):

@@ -63,21 +63,16 @@ class TestAlgebra:
 
 
 class TestDualTwist:
-    def test_dual_involution(self, sample_diagram):
-        n = sample_diagram.width
-        assert sample_diagram.dual(n).dual(n) == sample_diagram
+    """Self-duality up to twist, checked cell by cell: entry (i, j) of a
+    Koszul diagram of n degrees summing to s equals entry (n - i, s - j)."""
 
-    def test_dual_empty(self):
-        assert ZERO.dual(3) == ZERO
-
-    def test_dual_requires_large_n(self, sample_diagram):
-        with pytest.raises(ValueError):
-            sample_diagram.dual(1)
+    @staticmethod
+    def mirror(k, n, s):
+        return {(n - i, s - j): v for (i, j), v in k.items()}
 
     def test_koszul_self_dual(self):
-        # Entry (i, j) must match entry (n - i, s - j) where s = sum(e).
         k = koszul_betti(normalize((1, 2)))
-        assert k.dual(2).twist(-3) == k
+        assert self.mirror(k, 2, 3) == dict(k.items())
 
     def test_koszul_self_dual_exhaustive(self):
         # All weakly increasing tuples with sum(e) <= 12, up to 4 generators.
@@ -92,32 +87,13 @@ class TestDualTwist:
         for n in range(1, 5):
             for degrees in tuples(n, 1, 12):
                 k = koszul_betti(normalize(degrees))
-                assert k.dual(n).twist(-sum(degrees)) == k
-
-    def test_twist_zero(self, sample_diagram):
-        assert sample_diagram.twist(0) == sample_diagram
-
-    def test_twist_roundtrip(self, sample_diagram):
-        assert sample_diagram.twist(5).twist(-5) == sample_diagram
-
-    def test_twist_pure(self):
-        assert pure((0, 1)).twist(-1) == Diagram({(0, 1): 1, (1, 2): 1})
-
-    @given(diagrams, st.integers(-5, 5))
-    def test_twist_inverse_property(self, a, r):
-        assert a.twist(r).twist(-r) == a
-
-    @given(diagrams, diagrams)
-    def test_dual_linear(self, a, b):
-        n = 6  # larger than any generated width
-        assert (a + b).dual(n) == a.dual(n) + b.dual(n)
+                assert self.mirror(k, n, sum(degrees)) == dict(k.items()), degrees
 
 
 class TestShape:
     def test_width_regularity(self):
         d = Diagram({(0, 0): 1, (2, 5): 1})
         assert d.width == 2
-        assert d.regularity == 3
 
     @given(diagrams)
     def test_no_stored_zero(self, a):

@@ -11,7 +11,6 @@ from bsdecomp import (
     PureSum,
     greedy_decompose,
     koszul_betti,
-    leq,
     normalize,
     pure,
     verify_symmetric,
@@ -63,10 +62,13 @@ class TestGreedyDecompose:
             assert all(c > 0 for c, _ in trace.decomposition)
 
     def test_chain_property(self):
-        trace = greedy_decompose(koszul_betti(normalize((3, 4, 5, 7))))
-        seqs = [d for _, d in trace.decomposition]
-        for a, b in zip(seqs, seqs[1:]):
-            assert leq(a, b) and a != b
+        # Consecutive degree sequences strictly increase componentwise, over
+        # the range of test_every_cell_cleared_once.
+        for degrees in combinations(range(1, 11), 4):
+            seqs = [d for _, d in greedy_decompose(koszul_betti(CIType(degrees))).decomposition]
+            for a, b in zip(seqs, seqs[1:]):
+                assert len(a) == len(b) and a != b, degrees
+                assert all(x <= y for x, y in zip(a, b)), degrees
 
     def test_progress_bound(self):
         diagram = koszul_betti(normalize((2, 3, 4, 5)))
@@ -188,8 +190,18 @@ class TestSymmetry:
         trace = greedy_decompose(diagram)
         assert not verify_symmetric(trace, 1, 2)
 
+    def test_wrong_width_returns_false(self):
+        # r + n is kept, so every mirror sequence matches, but the terms
+        # have 5 entries, not n + 1.
+        t = normalize((1, 2, 4, 8))
+        trace = greedy_decompose(koszul_betti(t))
+        top = t.regularity + t.codim
+        for n in (3, 5):
+            assert not verify_symmetric(trace, top - n, n)
+
     def test_all_small_koszul(self):
-        for n in range(1, 5):
+        # Codim 5 goes beyond the acceptance suite's n <= 4.
+        for n in range(1, 6):
             for degrees in combinations_with_replacement(range(1, 7), n):
                 t = CIType(degrees)
                 trace = greedy_decompose(koszul_betti(t))

@@ -33,7 +33,6 @@ class TestCIType:
         t = normalize((1, 2, 4, 8))
         assert t.multiplicity == 64
         assert t.regularity == 11
-        assert t.socle_degree == 15
         assert t.codim == 4
 
 

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import accumulate
 from math import prod
 
 import pytest
@@ -7,13 +8,10 @@ from hypothesis import given, strategies as st
 from bsdecomp import (
     Diagram,
     EmptyColumn,
-    LengthMismatch,
     NotADegreeSequence,
     delta,
-    leq,
     min_degree_sequence,
     pure,
-    sigma,
 )
 from bsdecomp.pure import format_sequence, parse_sequence
 
@@ -67,27 +65,14 @@ class TestPure:
         assert p == checked and checked == p
         assert hash(p) == hash(checked)
 
-    @given(degree_sequences)
-    def test_dual_of_pure_is_pure(self, d):
+    @given(degree_sequences, st.integers(-10, 10))
+    def test_dual_of_pure_is_pure(self, d, shift):
+        # Mirroring the cells (i, j) -> (n - i, shift - j) of pure(d) gives
+        # the pure diagram on the mirrored sequence (shift - d_n, ..., shift - d_0).
         n = len(d) - 1
-        mirrored = tuple(-x for x in reversed(d))
-        assert pure(d).dual(n) == pure(mirrored)
-
-
-class TestOrder:
-    def test_leq_true(self):
-        assert leq((0, 1, 3), (0, 2, 3))
-
-    def test_leq_incomparable(self):
-        assert not leq((0, 2, 3), (0, 1, 4))
-        assert not leq((0, 1, 4), (0, 2, 3))
-
-    def test_leq_chain_endpoints(self):
-        assert leq((0, 1, 3, 7, 15), (0, 8, 12, 14, 15))
-
-    def test_leq_length_mismatch(self):
-        with pytest.raises(LengthMismatch):
-            leq((0, 1), (0, 1, 2))
+        mirrored = tuple(shift - x for x in reversed(d))
+        cells = {(n - i, shift - j): v for (i, j), v in pure(d).items()}
+        assert cells == dict(pure(mirrored).items())
 
 
 class TestDeltaSigma:
@@ -96,14 +81,10 @@ class TestDeltaSigma:
         assert delta((0, 1, 6)) == (1, 5)
         assert delta((7,)) == ()
 
-    def test_sigma_examples(self):
-        assert sigma((3, 2), 0) == (0, 3, 5)
-        assert sigma((1, 5), 0) == (0, 1, 6)
-        assert sigma((), 4) == (4,)
-
     @given(degree_sequences)
     def test_roundtrip(self, d):
-        assert sigma(delta(d), d[0]) == d
+        # Partial sums from d_0 invert the first differences.
+        assert tuple(accumulate(delta(d), initial=d[0])) == d
 
 
 class TestMinDegreeSequence:
