@@ -37,11 +37,7 @@ from .greedy import (
     greedy_decompose,
     verify_symmetric,
 )
-from .closed_forms import (
-    FirstElimination,
-    closed_form_decomposition,
-    codim4_first_elimination,
-)
+from .closed_forms import closed_form_decomposition, first_elimination
 from .shuffle import (
     ci_shuffle_decomposition,
     prod_of,

@@ -4,14 +4,15 @@ intersections of a fixed codimension.
 The elimination signature of a degree tuple records which columns are
 cleared at each iteration (dropping the trivial outer columns 0 and n on
 the final, all-clearing iteration).  The census sweeps all bounded
-degree tuples, groups them by signature, and tallies agreement with the
-codimension-4 first-elimination predicate.
+degree tuples, groups them by signature, and, for strict codimension-4
+tuples, tallies how often `first_elimination` names the columns of the
+first iteration.
 """
 
 from dataclasses import dataclass, field
 from itertools import combinations, combinations_with_replacement
 
-from .closed_forms import FirstElimination, codim4_first_elimination
+from .closed_forms import first_elimination
 from .greedy import greedy_decompose
 from .koszul import CIType, koszul_betti, normalize
 from .pure import format_sequence
@@ -30,42 +31,37 @@ __all__ = [
 
 @dataclass(frozen=True)
 class EliminationSignature:
-    """Per-iteration column sets, in iteration order."""
+    """Per-iteration column tuples: step k is iteration k + 1."""
 
-    steps: tuple  # ((iteration, (columns, ...)), ...)
+    steps: tuple  # ((columns, ...), ...)
 
     @property
     def iterations(self):
-        return self.steps[-1][0] if self.steps else 0
+        return len(self.steps)
 
     def has_multiple_elimination(self):
         """True if some non-final iteration clears more than one column."""
-        return any(len(cols) > 1 for it, cols in self.steps[:-1])
+        return any(len(cols) > 1 for cols in self.steps[:-1])
 
     def first_columns(self):
-        return self.steps[0][1] if self.steps else ()
+        return self.steps[0] if self.steps else ()
 
     def format(self):
         return ";".join(
-            f"{it}:{','.join(str(c) for c in cols)}" for it, cols in self.steps
+            f"{it}:{','.join(str(c) for c in cols)}" for it, cols in enumerate(self.steps, 1)
         )
 
 
 def signature_of(t):
     """Elimination signature of the Koszul diagram of type t."""
     t = normalize(t)
-    n = t.codim
     table = greedy_decompose(koszul_betti(t)).table
-    grouped = {}
+    # Every iteration clears the cell attaining its coefficient.
+    steps = [set() for _ in range(table.iterations)]
     for (i, _), it in table.cells.items():
-        grouped.setdefault(it, set()).add(i)
-    steps = []
-    for it in sorted(grouped):
-        cols = tuple(sorted(grouped[it]))
-        if it == table.iterations:
-            cols = tuple(c for c in cols if c not in (0, n))
-        steps.append((it, cols))
-    return EliminationSignature(steps=tuple(steps))
+        steps[it - 1].add(i)
+    steps[-1] -= {0, t.codim}
+    return EliminationSignature(steps=tuple(tuple(sorted(cols)) for cols in steps))
 
 
 def iter_types(codim, max_degree, strict):
@@ -90,16 +86,6 @@ class CensusReport:
 
 
 WITNESS_CAP = 5
-
-
-def _predicate_agrees(t, signature):
-    predicted = codim4_first_elimination(t)
-    first = signature.first_columns()
-    if predicted is FirstElimination.MULTIPLE:
-        return len(first) >= 2
-    if predicted is FirstElimination.COLUMN1:
-        return first == (1,)
-    return first == (2,)
 
 
 def census_records(codim, max_degree, strict):
@@ -127,8 +113,7 @@ def run_census(codim, max_degree, strict):
             report.multiple_tuples += 1
         if codim == 4 and strict:
             report.predicate_checked += 1
-            if _predicate_agrees(t, sig):
-                report.predicate_agreed += 1
+            report.predicate_agreed += first_elimination(t) == sig.first_columns()
     report.no_multiple_signatures = sum(
         1 for sig in report.signatures if not sig.has_multiple_elimination()
     )

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from . import census as census_mod
 from . import reference
-from .closed_forms import closed_form_decomposition, codim4_first_elimination
+from .closed_forms import closed_form_decomposition, first_elimination
 from .diagram import format_betti, format_fraction, parse_betti
 from .errors import BsdecompError, NotADegreeSequence
 from .greedy import greedy_decompose
@@ -90,7 +90,7 @@ def build_parser():
     p = sub.add_parser("closed-form", help="closed-form decomposition, codim 1..3")
     p.add_argument("--degrees", required=True)
 
-    p = sub.add_parser("predict-first-elim", help="first-elimination column, codim 4")
+    p = sub.add_parser("predict-first-elim", help="column the first greedy step clears, strict degrees")
     p.add_argument("--degrees", required=True)
 
     p = sub.add_parser("shuffle", help="expand a product of pure diagrams")
@@ -133,7 +133,8 @@ def run(args, out):
     elif cmd == "closed-form":
         _print_terms(closed_form_decomposition(_parse_degrees(args.degrees)), out)
     elif cmd == "predict-first-elim":
-        out.write(str(codim4_first_elimination(_parse_degrees(args.degrees))) + "\n")
+        cols = first_elimination(_parse_degrees(args.degrees))
+        out.write(f"Column{cols[0]}\n" if len(cols) == 1 else "Multiple\n")
     elif cmd == "shuffle":
         seqs = [parse_sequence(s) for s in args.seq]
         _print_terms(shuffle_product(seqs, cap=args.shuffle_cap), out)

@@ -1,31 +1,22 @@
 """Closed-form chain decompositions for codimension at most 3, and the
-codimension-4 first-elimination predicate.
+columns the first greedy step clears on a strict Koszul diagram.
 
-Above codimension 3 no single formula exists; the predicate below only
-tells whether the greedy algorithm's first subtraction clears a column-1
-or column-2 entry (or several entries at once).
+Above codimension 3 no formula for the whole decomposition exists, but
+the first greedy step has one for every strictly increasing type: it
+clears the columns where the pure diagram on the partial sums of the
+degrees is largest.
 """
 
-import enum
+from itertools import accumulate
 
 from .errors import RequiresStrictDegrees, UnsupportedCodimension
 from .koszul import normalize
-from .pure import PureSum
+from .pure import PureSum, pure
 
 __all__ = [
-    "FirstElimination",
     "closed_form_decomposition",
-    "codim4_first_elimination",
+    "first_elimination",
 ]
-
-
-class FirstElimination(enum.Enum):
-    COLUMN1 = "Column1"
-    COLUMN2 = "Column2"
-    MULTIPLE = "Multiple"
-
-    def __str__(self):
-        return self.value
 
 
 def closed_form_decomposition(t):
@@ -58,25 +49,19 @@ def closed_form_decomposition(t):
     return PureSum.merged(raw)
 
 
-def codim4_first_elimination(t):
-    """Which column the first greedy subtraction clears, for codim 4.
+def first_elimination(t):
+    """Columns the first greedy subtraction clears, for strict degrees.
 
-    For strictly increasing degrees a < b < c < d the first elimination
-    is in column 1 when a(b+2c+d) < c(c+d), in column 2 when the
-    inequality is reversed, and hits both at once on equality.  The
-    direction is pinned by the elimination-table oracle in the tests.
+    With e_1 < ... < e_n the column minima of the Koszul diagram are the
+    partial sums s = (0, e_1, e_1 + e_2, ...), each with Betti number 1,
+    so the first coefficient is min_i 1/pure(s)_i and the columns cleared
+    are those where pure(s) is largest.  In codimension 4, a < b < c < d,
+    that is (1,) when a(b+2c+d) < c(c+d), (2,) when the inequality is
+    reversed, and (1, 2) on equality.
     """
     t = normalize(t)
-    if t.codim != 4:
-        raise UnsupportedCodimension(f"predicate needs 4 degrees, got {t.codim}")
-    a, b, c, d = t.degrees
-    if not (a < b < c < d):
+    if any(a == b for a, b in zip(t.degrees, t.degrees[1:])):
         raise RequiresStrictDegrees(f"degrees must be strictly increasing: {t.degrees}")
-    lhs = a * (b + 2 * c + d)
-    rhs = c * (c + d)
-    if lhs < rhs:
-        return FirstElimination.COLUMN1
-    if lhs > rhs:
-        return FirstElimination.COLUMN2
-    return FirstElimination.MULTIPLE
-
+    cells = pure(accumulate(t.degrees, initial=0)).items()
+    top = max(v for _, v in cells)
+    return tuple(i for (i, _), v in cells if v == top)

@@ -30,7 +30,10 @@ class UnsupportedCodimension(BsdecompError):
 
 
 class RequiresStrictDegrees(BsdecompError):
-    """The first-elimination predicate needs strictly increasing degrees."""
+    """The first-elimination rule needs strictly increasing degrees.
+
+    A repeated degree gives column minima with Betti numbers above 1.
+    """
 
 
 class SizeExceeded(BsdecompError):

@@ -31,13 +31,6 @@ class EliminationTable:
     def grid(self):
         return render_grid({key: str(it) for key, it in self.cells.items()})
 
-    def multiple_iterations(self):
-        """Iterations that zero two or more cells (including the final one)."""
-        counts = {}
-        for it in self.cells.values():
-            counts[it] = counts.get(it, 0) + 1
-        return {it for it, c in counts.items() if c > 1}
-
 
 @dataclass(frozen=True)
 class GreedyTrace:

@@ -5,14 +5,14 @@ All equality checks are exact; there are no tolerances anywhere.
 
 import functools
 import random
+from collections import Counter
 from itertools import combinations, combinations_with_replacement
 
 from bsdecomp import (
     CIType,
-    FirstElimination,
     ci_shuffle_decomposition,
     closed_form_decomposition,
-    codim4_first_elimination,
+    first_elimination,
     greedy_decompose,
     koszul_betti,
     normalize,
@@ -107,7 +107,8 @@ def test_criterion_4_elimination_tables():
         assert got == want, degrees
     table = greedy_decompose(koszul_betti(CIType((4, 5, 7, 9)))).table
     assert table.iterations == 8
-    assert table.multiple_iterations() == {1, 2, 6, 7, 8}
+    counts = Counter(table.cells.values())
+    assert {it for it, c in counts.items() if c > 1} == {1, 2, 6, 7, 8}
 
 
 @criterion(5, "golden shuffle expansion of pi<0,3,5> * pi<0,1,6>")
@@ -163,23 +164,18 @@ def test_criterion_9_symmetry():
             assert verify_symmetric(trace, t.regularity, t.codim), degrees
 
 
-@criterion(10, "first-elimination predicate agrees with tables; equality branch hit")
+@criterion(10, "first-elimination rule agrees with tables; equality branch hit")
 def test_criterion_10_codim4_predicate():
     for degrees in combinations(range(1, 9), 4):
         t = CIType(degrees)
-        predicted = codim4_first_elimination(t)
         table = greedy_decompose(koszul_betti(t)).table
-        observed = sorted({i for (i, _), it in table.cells.items() if it == 1})
-        if predicted is FirstElimination.MULTIPLE:
-            assert len(observed) >= 2, degrees
-        elif predicted is FirstElimination.COLUMN1:
-            assert observed == [1], degrees
-        else:
-            assert observed == [2], degrees
+        observed = tuple(sorted({i for (i, _), it in table.cells.items() if it == 1}))
+        assert first_elimination(t) == observed, degrees
+        assert observed in ((1,), (2,), (1, 2)), degrees
     witnesses = [
         t
         for t in map(CIType, combinations(range(1, 21), 4))
-        if codim4_first_elimination(t) is FirstElimination.MULTIPLE
+        if first_elimination(t) == (1, 2)
     ]
     assert witnesses, "no equality tuple with d <= 20"
     for t in witnesses:

@@ -1,8 +1,6 @@
-import random
-
 import pytest
 
-from bsdecomp import CIType, greedy_decompose, koszul_betti, pure
+from bsdecomp import CIType, first_elimination, greedy_decompose, koszul_betti
 from bsdecomp.census import (
     census_records,
     format_report,
@@ -20,15 +18,15 @@ def tsv_output(codim, max_degree, strict):
 class TestSignature:
     def test_3_4_5_7(self):
         sig = signature_of(CIType((3, 4, 5, 7)))
-        assert sig.steps[0] == (1, (2,))
-        assert sig.steps[1] == (2, (1,))
+        assert sig.steps[0] == (2,)
+        assert sig.steps[1] == (1,)
         assert sig.iterations == 12
         assert not sig.has_multiple_elimination()
 
     def test_1_2_4_8(self):
         sig = signature_of(CIType((1, 2, 4, 8)))
-        assert sig.steps[0] == (1, (1,))
-        assert sig.steps[1] == (2, (2,))
+        assert sig.steps[0] == (1,)
+        assert sig.steps[1] == (2,)
         assert sig.iterations == 12
         assert not sig.has_multiple_elimination()
 
@@ -36,14 +34,14 @@ class TestSignature:
         sig = signature_of(CIType((4, 5, 7, 9)))
         assert sig.iterations == 8
         assert sig.has_multiple_elimination()
-        multi = {it for it, cols in sig.steps if len(cols) > 1}
+        multi = {it for it, cols in enumerate(sig.steps, 1) if len(cols) > 1}
         # The final step drops the trivial outer columns but stays multiple.
         assert multi == {1, 2, 6, 7, 8}
 
     def test_final_step_drops_outer_columns(self):
         sig = signature_of(CIType((1, 2, 4, 8)))
-        last_it, last_cols = sig.steps[-1]
-        assert last_it == 12
+        last_cols = sig.steps[-1]
+        assert len(sig.steps) == 12
         assert 0 not in last_cols
         assert 4 not in last_cols
 
@@ -76,23 +74,16 @@ class TestRunCensus:
         report = run_census(4, 8, True)
         for sig, witnesses in report.signatures.items():
             for degrees in witnesses:
-                from bsdecomp import codim4_first_elimination, FirstElimination
-
-                predicted = codim4_first_elimination(CIType(degrees))
-                first = sig.first_columns()
-                assert (predicted is FirstElimination.MULTIPLE) == (len(first) >= 2)
+                assert first_elimination(CIType(degrees)) == sig.first_columns()
 
     def test_reconstruction_spot_check(self):
-        rng = random.Random(7)
-        types = list(iter_types(4, 9, True))
-        for t in rng.sample(types, max(1, len(types) // 100)):
-            diagram = koszul_betti(t)
-            trace = greedy_decompose(diagram)
-            total = None
-            for coeff, d in trace.decomposition:
-                term = pure(d).scale(coeff)
-                total = term if total is None else total + term
-            assert total == diagram
+        # Every record of a strict codim-4 and a weak codim-5 sweep.
+        records = [*census_records(4, 10, True), *census_records(5, 6, False)]
+        assert len(records) == 210 + 252
+        for t, sig in records:
+            decomposition = greedy_decompose(koszul_betti(t)).decomposition
+            assert decomposition.expand() == koszul_betti(t), t.degrees
+            assert len(decomposition) == sig.iterations, t.degrees
 
     def test_codim5_small(self):
         report = run_census(5, 6, True)

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bsdecomp.cli import build_parser, main, run
+from bsdecomp.closed_forms import first_elimination
 from bsdecomp.reference import ELIM_TABLE_1_2_4_8
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -73,6 +74,20 @@ class TestOtherCommands:
     def test_predict_first_elim(self):
         assert invoke(["predict-first-elim", "--degrees", "1,2,4,8"])[1] == "Column1\n"
         assert invoke(["predict-first-elim", "--degrees", "3,4,5,7"])[1] == "Column2\n"
+        # 4(5 + 2*6 + 16) == 6(6 + 16): the paper's equality branch.
+        assert invoke(["predict-first-elim", "--degrees", "4,5,6,16"]) == (0, "Multiple\n")
+
+    @pytest.mark.parametrize("degrees", [(1, 2, 3), (1, 2, 3, 4, 5)])
+    def test_predict_first_elim_other_codims(self, degrees, capsys):
+        assert main(["predict-first-elim", "--degrees", ",".join(map(str, degrees))]) == 0
+        (column,) = first_elimination(degrees)
+        assert capsys.readouterr() == (f"Column{column}\n", "")
+
+    def test_predict_first_elim_requires_strict(self, capsys):
+        assert main(["predict-first-elim", "--degrees", "2,2,3,4"]) == 1
+        assert capsys.readouterr() == (
+            "", "RequiresStrictDegrees: degrees must be strictly increasing: (2, 2, 3, 4)\n"
+        )
 
     def test_shuffle(self):
         code, text = invoke(["shuffle", "--seq", "0,3,5", "--seq", "0,1,6"])
@@ -148,6 +163,20 @@ class TestOtherCommands:
         code, text = invoke(["census", "--codim", "4", "--max-degree", "6", "--strict"])
         assert code == 0
         assert "tuples swept: 15" in text
+
+    @pytest.mark.parametrize(
+        "argv, golden",
+        [
+            (["census", "--codim", "4", "--max-degree", "10", "--strict"], "census_4_10_strict.txt"),
+            (
+                ["census", "--codim", "5", "--max-degree", "9", "--strict", "--format", "tsv"],
+                "census_5_9_strict.tsv",
+            ),
+        ],
+    )
+    def test_census_golden(self, argv, golden, capsys):
+        assert main(argv) == 0
+        assert capsys.readouterr() == ((GOLDEN / golden).read_text(), "")
 
     def test_census_tsv(self):
         code, text = invoke(

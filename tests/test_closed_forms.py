@@ -4,9 +4,8 @@ import pytest
 
 from bsdecomp import (
     CIType,
-    FirstElimination,
     closed_form_decomposition,
-    codim4_first_elimination,
+    first_elimination,
     greedy_decompose,
     koszul_betti,
     normalize,
@@ -16,7 +15,13 @@ from bsdecomp.errors import RequiresStrictDegrees, UnsupportedCodimension
 
 def observed_first_columns(degrees):
     table = greedy_decompose(koszul_betti(CIType(degrees))).table
-    return sorted({i for (i, _), it in table.cells.items() if it == 1})
+    return tuple(sorted({i for (i, _), it in table.cells.items() if it == 1}))
+
+
+def paper_rule(a, b, c, d):
+    """The paper's codim-4 rule: the sign of a(b+2c+d) - c(c+d)."""
+    lhs, rhs = a * (b + 2 * c + d), c * (c + d)
+    return (1,) if lhs < rhs else (2,) if lhs > rhs else (1, 2)
 
 
 class TestClosedForm:
@@ -71,12 +76,12 @@ class TestVerifyClosedForm:
 class TestCodim4Predicate:
     def test_1_2_4_8_column1(self):
         # Oracle first: the table's iteration-1 cell is in column 1.
-        assert observed_first_columns((1, 2, 4, 8)) == [1]
-        assert codim4_first_elimination(normalize((1, 2, 4, 8))) is FirstElimination.COLUMN1
+        assert observed_first_columns((1, 2, 4, 8)) == (1,)
+        assert first_elimination(normalize((1, 2, 4, 8))) == (1,)
 
     def test_3_4_5_7_column2(self):
-        assert observed_first_columns((3, 4, 5, 7)) == [2]
-        assert codim4_first_elimination(normalize((3, 4, 5, 7))) is FirstElimination.COLUMN2
+        assert observed_first_columns((3, 4, 5, 7)) == (2,)
+        assert first_elimination(normalize((3, 4, 5, 7))) == (2,)
 
     def test_multiple_witness_exists(self):
         witnesses = [
@@ -86,23 +91,34 @@ class TestCodim4Predicate:
         ]
         assert witnesses, "no equality tuple with d <= 20"
         for degrees in witnesses:
-            assert codim4_first_elimination(CIType(degrees)) is FirstElimination.MULTIPLE
+            assert first_elimination(CIType(degrees)) == (1, 2)
             table = greedy_decompose(koszul_betti(CIType(degrees))).table
             assert sum(1 for it in table.cells.values() if it == 1) >= 2
 
     def test_agrees_with_tables_up_to_8(self):
         for degrees in combinations(range(1, 9), 4):
-            predicted = codim4_first_elimination(CIType(degrees))
             observed = observed_first_columns(degrees)
-            if predicted is FirstElimination.MULTIPLE:
-                assert len(observed) >= 2, degrees
-            elif predicted is FirstElimination.COLUMN1:
-                assert observed == [1], degrees
-            else:
-                assert observed == [2], degrees
+            assert first_elimination(CIType(degrees)) == observed, degrees
+            assert paper_rule(*degrees) == observed, degrees
+
+    def test_paper_rule_up_to_14(self):
+        for degrees in combinations(range(1, 15), 4):
+            assert first_elimination(CIType(degrees)) == paper_rule(*degrees), degrees
 
     def test_requires_strict(self):
         with pytest.raises(RequiresStrictDegrees):
-            codim4_first_elimination(normalize((2, 2, 3, 4)))
-        with pytest.raises(UnsupportedCodimension):
-            codim4_first_elimination(normalize((1, 2, 3)))
+            first_elimination(normalize((2, 2, 3, 4)))
+        with pytest.raises(RequiresStrictDegrees):
+            first_elimination(normalize((1, 1, 2)))
+        # Other codimensions get an answer.
+        assert first_elimination(normalize((1, 2, 3))) == (1,)
+
+
+class TestFirstElimination:
+    @pytest.mark.parametrize(
+        "codim, max_degree", [(1, 14), (2, 14), (3, 14), (4, 14), (5, 10), (6, 10)]
+    )
+    def test_agrees_with_tables(self, codim, max_degree):
+        # The columns greedy clears at iteration 1, outer ones included.
+        for degrees in combinations(range(1, max_degree + 1), codim):
+            assert first_elimination(CIType(degrees)) == observed_first_columns(degrees), degrees

@@ -2,6 +2,7 @@ from itertools import combinations_with_replacement
 from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bsdecomp import CIType, Diagram, koszul_betti, normalize
 from bsdecomp.errors import NonPositiveDegree, NotWeaklyIncreasing
@@ -50,6 +51,18 @@ class TestKoszulBetti:
         assert koszul_betti(normalize((2, 2))) == Diagram(
             {(0, 0): 1, (1, 2): 2, (2, 4): 1}
         )
+
+    @settings(deadline=None)
+    @given(
+        st.lists(st.integers(1, 9), max_size=6).flatmap(
+            lambda degrees: st.tuples(st.just(degrees), st.permutations(degrees))
+        )
+    )
+    def test_order_of_degrees_is_irrelevant(self, pair):
+        degrees, permuted = pair
+        assert normalize(permuted) == normalize(degrees)
+        assert koszul_betti(permuted) == koszul_betti(degrees)
+        assert koszul_by_enumeration(permuted) == koszul_betti(degrees)
 
     def test_matches_enumeration_oracle(self):
         # Exhaustive against the 2^n oracle for all tuples with n <= 4, e <= 5.
