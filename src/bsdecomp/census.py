@@ -11,13 +11,16 @@ first iteration.
 
 from dataclasses import dataclass, field
 from itertools import combinations, combinations_with_replacement
+from math import comb
 
 from .closed_forms import first_elimination
+from .errors import SizeExceeded
 from .greedy import greedy_decompose
 from .koszul import CIType, koszul_betti, normalize
 from .pure import format_sequence
 
 __all__ = [
+    "DEFAULT_CENSUS_CAP",
     "EliminationSignature",
     "CensusReport",
     "signature_of",
@@ -86,24 +89,32 @@ class CensusReport:
 
 
 WITNESS_CAP = 5
+DEFAULT_CENSUS_CAP = 10**5
 
 
-def census_records(codim, max_degree, strict):
-    """Yield (type, signature) for every bounded degree tuple."""
+def census_records(codim, max_degree, strict, cap=None):
+    """An iterator of (type, signature) for every bounded degree tuple.
+
+    The bounds and the tuple count are checked at the call; the records
+    are then made one at a time.
+    """
     if codim not in (4, 5):
         raise ValueError(f"census supports codimension 4 or 5, got {codim}")
     if strict and max_degree < codim:
         raise ValueError("strict tuples need max_degree >= codim")
     if max_degree < 1:
         raise ValueError("tuples need max_degree >= 1")
-    for t in iter_types(codim, max_degree, strict):
-        yield t, signature_of(t)
+    count = comb(max_degree, codim) if strict else comb(max_degree + codim - 1, codim)
+    cap = DEFAULT_CENSUS_CAP if cap is None else cap
+    if count > cap:
+        raise SizeExceeded(f"{count} tuples exceed the cap of {cap}")
+    return ((t, signature_of(t)) for t in iter_types(codim, max_degree, strict))
 
 
-def run_census(codim, max_degree, strict):
+def run_census(codim, max_degree, strict, cap=None):
     """Sweep all bounded degree tuples and aggregate their signatures."""
     report = CensusReport(codim=codim, max_degree=max_degree, strict=strict)
-    for t, sig in census_records(codim, max_degree, strict):
+    for t, sig in census_records(codim, max_degree, strict, cap):
         report.swept += 1
         witnesses = report.signatures.setdefault(sig, [])
         if len(witnesses) < WITNESS_CAP:

@@ -37,7 +37,7 @@ class RequiresStrictDegrees(BsdecompError):
 
 
 class SizeExceeded(BsdecompError):
-    """A shuffle enumeration would exceed the configured cap."""
+    """A shuffle enumeration or census sweep would exceed the configured cap."""
 
 
 class NotInCone(BsdecompError):

@@ -5,13 +5,24 @@ residual's minimal degree sequence that keeps all entries nonnegative.
 The degree sequences produced form a strictly increasing chain and the
 decomposition is unique.  The elimination table records, per entry of
 the input, the iteration at which it first became zero.
+
+The residual is kept as integer numerators R over one common
+denominator M.  A step on degree sequence d needs only the integers
+D_i = prod_{k != i} |d_i - d_k|, since pure(d) is 1/D_i at (i, d_i):
+the coefficient is m / M with m = min_i R_i D_i, and R_i drops by
+m / D_i.  When some D_i does not divide m, R and M are first scaled by
+the least L that makes every m / D_i integral, and the common factor of
+M and R is divided out after the step.  Each term builds one Fraction;
+no cell does.
 """
 
 from dataclasses import dataclass
+from fractions import Fraction
+from math import gcd, lcm, prod
 
 from .diagram import Diagram, render_grid
 from .errors import EmptyColumn, NotADegreeSequence, NotInCone
-from .pure import PureSum, min_degree_sequence, pure
+from .pure import PureSum, min_degree_sequence
 
 __all__ = [
     "EliminationTable",
@@ -42,40 +53,56 @@ def greedy_decompose(a):
     """Run the greedy chain decomposition, returning terms and the table."""
     if not a:
         raise NotInCone("cannot decompose the zero diagram")
-    if any(v < 0 for _, v in a.items()):
+    items = a.items()
+    if any(v < 0 for _, v in items):
         raise NotInCone("diagram has negative entries")
     width = a.width
-    residual = dict(a.items())
-    top = sum(i == width for i, _ in residual)  # cells left in column `width`
+    M = lcm(*(v.denominator for _, v in items))
+    R = {key: v.numerator * (M // v.denominator) for key, v in items}
+    top = sum(i == width for i, _ in R)  # cells left in column `width`
     terms = []
     cells = {}
     iteration = 0
 
     def stuck(message):
-        return NotInCone(message, partial=PureSum(tuple(terms)), residual=Diagram._of(residual))
+        residual = Diagram._of({key: Fraction(v, M) for key, v in R.items()})
+        return NotInCone(message, partial=PureSum(tuple(terms)), residual=residual)
 
     # Each step clears the cell attaining q, so there are at most len(a) steps.
-    while residual:
+    while R:
         iteration += 1
         if not top:
             raise stuck(f"column {width} emptied while lower columns remain")
         try:
-            d = min_degree_sequence(residual)
+            d = min_degree_sequence(R)
         except EmptyColumn as exc:
             raise stuck(str(exc)) from exc
         except NotADegreeSequence as exc:
             raise stuck(f"column minima are not strictly increasing: {exc}") from exc
-        p = pure(d)
-        q = min(residual[key] / p[key] for key in enumerate(d))
-        terms.append((q, d))
-        for key in enumerate(d):  # the cells (i, d_i) of pure(d)
-            value = residual[key] - q * p[key]
+        keys = tuple(enumerate(d))
+        D = [prod([abs(di - dk) for dk in d if dk != di]) for di in d]
+        m = min([R[key] * Di for key, Di in zip(keys, D)])
+        L = lcm(*[Di // gcd(Di, m) for Di in D])
+        if L > 1:  # make every m / D_i an integer
+            M *= L
+            m *= L
+            for key in R:
+                R[key] *= L
+        terms.append((Fraction(m, M), d))
+        for key, Di in zip(keys, D):
+            value = R[key] - m // Di
             if value:
-                residual[key] = value
+                R[key] = value
             else:
-                del residual[key]
+                del R[key]
                 cells[key] = iteration
                 top -= key[0] == width
+        if L > 1:
+            g = gcd(M, *R.values())
+            if g > 1:
+                M //= g
+                for key in R:
+                    R[key] //= g
     return GreedyTrace(
         decomposition=PureSum(tuple(terms)),
         table=EliminationTable(cells=cells, iterations=iteration),

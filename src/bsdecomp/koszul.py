@@ -7,6 +7,7 @@ the degrees summing to j.
 """
 
 from dataclasses import dataclass
+from fractions import Fraction
 from math import prod
 
 from .diagram import Diagram
@@ -68,4 +69,4 @@ def koszul_betti(t):
             key = (i + 1, j + e)
             new[key] = new.get(key, 0) + c
         counts = new
-    return Diagram(counts)
+    return Diagram._of({key: Fraction(c) for key, c in counts.items()})

@@ -1,7 +1,10 @@
+from math import comb
+
 import pytest
 
-from bsdecomp import CIType, first_elimination, greedy_decompose, koszul_betti
+from bsdecomp import CIType, SizeExceeded, first_elimination, greedy_decompose, koszul_betti
 from bsdecomp.census import (
+    DEFAULT_CENSUS_CAP,
     census_records,
     format_report,
     iter_types,
@@ -99,6 +102,22 @@ class TestRunCensus:
             run_census(4, 3, True)
         with pytest.raises(ValueError):
             tsv_output(4, 3, True)
+
+    @pytest.mark.parametrize("codim, max_degree, strict, count", [
+        (4, 9, True, comb(9, 4)),
+        (5, 6, False, comb(10, 5)),
+    ])
+    def test_tuple_cap(self, codim, max_degree, strict, count):
+        assert len(list(census_records(codim, max_degree, strict, cap=count))) == count
+        # Checked at the call, before any record is made.
+        with pytest.raises(SizeExceeded, match=f"^{count} tuples exceed the cap of {count - 1}$"):
+            census_records(codim, max_degree, strict, cap=count - 1)
+        with pytest.raises(SizeExceeded):
+            run_census(codim, max_degree, strict, cap=count - 1)
+
+    def test_default_tuple_cap(self):
+        with pytest.raises(SizeExceeded, match=f"exceed the cap of {DEFAULT_CENSUS_CAP}$"):
+            census_records(5, 10**9, False)
 
     def test_determinism(self):
         a = run_census(4, 8, True)

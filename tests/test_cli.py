@@ -4,6 +4,7 @@ import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from time import perf_counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -185,6 +186,23 @@ class TestOtherCommands:
         assert code == 0
         assert len(text.splitlines()) == 5
 
+    @pytest.mark.parametrize("fmt", ["text", "tsv"])
+    def test_census_tuple_cap(self, fmt, capsys):
+        # C(82, 4) = 1,749,060 tuples: refused before the first is swept.
+        start = perf_counter()
+        code = main(["census", "--codim", "4", "--max-degree", "82", "--strict", "--format", fmt])
+        assert perf_counter() - start < 5
+        assert code == 1
+        assert capsys.readouterr() == ("", "SizeExceeded: 1749060 tuples exceed the cap of 100000\n")
+
+    @pytest.mark.parametrize("fmt", ["text", "tsv"])
+    def test_census_tuple_cap_flag(self, fmt, capsys):
+        argv = ["census", "--codim", "4", "--max-degree", "6", "--strict", "--format", fmt]
+        assert main(argv + ["--tuple-cap", "14"]) == 1
+        assert capsys.readouterr() == ("", "SizeExceeded: 15 tuples exceed the cap of 14\n")
+        assert main(argv + ["--tuple-cap", "15"]) == 0
+        assert capsys.readouterr().err == ""
+
     def test_verify_paper(self):
         code, text = invoke(["verify-paper"])
         assert code == 0
@@ -261,6 +279,7 @@ class TestErrors:
             ["census", "--codim=--", "--max-degree=4"],
             ["census", "--codim=4", "--max-degree=--"],
             ["census", "--codim=4", "--max-degree=4", "--format=--"],
+            ["census", "--codim=4", "--max-degree=4", "--tuple-cap=--"],
         ],
     )
     @pytest.mark.skipif(sys.version_info >= (3, 13), reason="argparse reads '--' as the value")
@@ -356,10 +375,13 @@ def cli_calls(draw, command):
         argv += source(TERMS) + [f"--element={draw(INT)}"] + option("--shuffle-cap", INT)
     elif command == "census":
         argv += [f"--codim={draw(mostly(st.sampled_from(['4', '5'])))}"]
-        # Malformed bounds stay non-numeric: "82 " would sweep thousands of tuples.
-        bound = mostly(st.integers(-1, 6).map(str), st.sampled_from(["", "x", "1.5", "6x"]))
+        bound = mostly(
+            st.integers(-1, 6).map(str),
+            st.sampled_from(["", "x", "1.5", "6x", "82 ", " 90"]) | st.integers(82, 10**30).map(str),
+        )
         argv += [f"--max-degree={draw(bound)}"]
         argv += option("--format", mostly(st.sampled_from(["text", "tsv"])))
+        argv += option("--tuple-cap", INT)
         argv += ["--strict"] if draw(st.booleans()) else []
     if draw(st.integers(0, 9)) == 0:
         del argv[draw(st.integers(0, len(argv) - 1))]

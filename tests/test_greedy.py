@@ -4,14 +4,20 @@ from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bsdecomp import (
     CIType,
     Diagram,
+    EliminationTable,
+    EmptyColumn,
+    GreedyTrace,
+    NotADegreeSequence,
     NotInCone,
     PureSum,
     greedy_decompose,
     koszul_betti,
+    min_degree_sequence,
     normalize,
     pure,
     verify_symmetric,
@@ -26,6 +32,107 @@ from bsdecomp.reference import (
 
 def grid_cells(text):
     return [line.split() for line in text.splitlines()]
+
+
+def fraction_greedy(a):
+    """Reference: the greedy loop in Fraction arithmetic, one pure(d) per step."""
+    if not a:
+        raise NotInCone("cannot decompose the zero diagram")
+    if any(v < 0 for _, v in a.items()):
+        raise NotInCone("diagram has negative entries")
+    width = a.width
+    residual = dict(a.items())
+    top = sum(i == width for i, _ in residual)
+    terms = []
+    cells = {}
+    iteration = 0
+
+    def stuck(message):
+        return NotInCone(message, partial=PureSum(tuple(terms)), residual=Diagram._of(residual))
+
+    while residual:
+        iteration += 1
+        if not top:
+            raise stuck(f"column {width} emptied while lower columns remain")
+        try:
+            d = min_degree_sequence(residual)
+        except EmptyColumn as exc:
+            raise stuck(str(exc)) from exc
+        except NotADegreeSequence as exc:
+            raise stuck(f"column minima are not strictly increasing: {exc}") from exc
+        p = pure(d)
+        q = min(residual[key] / p[key] for key in enumerate(d))
+        terms.append((q, d))
+        for key in enumerate(d):
+            value = residual[key] - q * p[key]
+            if value:
+                residual[key] = value
+            else:
+                del residual[key]
+                cells[key] = iteration
+                top -= key[0] == width
+    return GreedyTrace(
+        decomposition=PureSum(tuple(terms)),
+        table=EliminationTable(cells=cells, iterations=iteration),
+    )
+
+
+def outcome(greedy, a):
+    """Everything a caller can see of a run, cell order included."""
+    try:
+        trace = greedy(a)
+    except NotInCone as exc:
+        residual = exc.residual
+        return str(exc), exc.partial and exc.partial.terms, residual, residual and list(residual)
+    terms = trace.decomposition.terms
+    assert all(type(q) is Fraction for q, _ in terms)
+    return terms, list(trace.table.cells.items()), trace.table.iterations
+
+
+@st.composite
+def perturbed_chains(draw):
+    """A positive rational sum of pure diagrams on an increasing chain,
+    with unlike denominators, and one cell maybe moved off it."""
+    n = draw(st.integers(1, 5))
+    d = sorted(draw(st.sets(st.integers(0, 12), min_size=n + 1, max_size=n + 1)))
+    chain = [tuple(d)]
+    for i in draw(st.lists(st.integers(0, n), max_size=12)):
+        if i == n or d[i] + 1 < d[i + 1]:
+            d[i] += 1
+            chain.append(tuple(d))
+    coeff = st.builds(Fraction, st.integers(1, 30), st.integers(1, 12))
+    a = PureSum(tuple((draw(coeff), s) for s in chain)).expand()
+    if draw(st.booleans()):
+        cell = draw(st.sampled_from(sorted(a)) | st.tuples(st.integers(0, n), st.integers(0, 20)))
+        a = a + Diagram({cell: draw(st.builds(Fraction, st.integers(-5, 5), st.integers(1, 40)))})
+    return a
+
+
+class TestFractionReference:
+    """The integer-residual kernel against the Fraction loop it replaced."""
+
+    @pytest.mark.parametrize("n, max_degree", [(1, 8), (2, 8), (3, 8), (4, 8), (5, 6)])
+    def test_weak_koszul_types(self, n, max_degree):
+        for degrees in combinations_with_replacement(range(1, max_degree + 1), n):
+            a = koszul_betti(CIType(degrees))
+            assert outcome(greedy_decompose, a) == outcome(fraction_greedy, a), degrees
+
+    @settings(max_examples=300, deadline=None)
+    @given(a=perturbed_chains())
+    def test_perturbed_chain_sums(self, a):
+        assert outcome(greedy_decompose, a) == outcome(fraction_greedy, a)
+
+    @pytest.mark.parametrize("a", [
+        Diagram({(0, 0): 1, (1, 1): -1}),
+        Diagram({(0, 1): 1, (1, 1): 1}),
+        Diagram({(0, 0): 1, (2, 3): 1}),
+        pure((0, 1, 3)) + Diagram({(1, 2): Fraction(1, 7)}),
+        pure((0, 2, 5)).scale(Fraction(3, 4)) + Diagram({(2, 9): Fraction(1, 6)}),
+    ])
+    def test_not_in_cone(self, a):
+        expected = outcome(fraction_greedy, a)
+        assert isinstance(expected[0], str)
+        assert outcome(greedy_decompose, a) == expected
 
 
 class TestGreedyDecompose:
