@@ -92,7 +92,7 @@ WITNESS_CAP = 5
 DEFAULT_CENSUS_CAP = 10**5
 
 
-def census_records(codim, max_degree, strict, cap=None):
+def census_records(codim, max_degree, strict):
     """An iterator of (type, signature) for every bounded degree tuple.
 
     The bounds and the tuple count are checked at the call; the records
@@ -105,16 +105,15 @@ def census_records(codim, max_degree, strict, cap=None):
     if max_degree < 1:
         raise ValueError("tuples need max_degree >= 1")
     count = comb(max_degree, codim) if strict else comb(max_degree + codim - 1, codim)
-    cap = DEFAULT_CENSUS_CAP if cap is None else cap
-    if count > cap:
-        raise SizeExceeded(f"{count} tuples exceed the cap of {cap}")
+    if count > DEFAULT_CENSUS_CAP:
+        raise SizeExceeded(f"{count} tuples exceed the cap of {DEFAULT_CENSUS_CAP}")
     return ((t, signature_of(t)) for t in iter_types(codim, max_degree, strict))
 
 
-def run_census(codim, max_degree, strict, cap=None):
+def run_census(codim, max_degree, strict):
     """Sweep all bounded degree tuples and aggregate their signatures."""
     report = CensusReport(codim=codim, max_degree=max_degree, strict=strict)
-    for t, sig in census_records(codim, max_degree, strict, cap):
+    for t, sig in census_records(codim, max_degree, strict):
         report.swept += 1
         witnesses = report.signatures.setdefault(sig, [])
         if len(witnesses) < WITNESS_CAP:

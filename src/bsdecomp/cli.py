@@ -116,7 +116,6 @@ def build_parser():
     p.add_argument("--max-degree", type=int, required=True)
     p.add_argument("--strict", action="store_true")
     p.add_argument("--format", choices=("text", "tsv"), default="text")
-    p.add_argument("--tuple-cap", type=int, default=None)
 
     sub.add_parser("verify-paper", help="run every golden verification check")
 
@@ -157,12 +156,11 @@ def run(args, out):
         result = quotient_by_regular_element(terms, args.element, cap=args.shuffle_cap)
         _print_terms(result, out)
     elif cmd == "census":
-        bounds = (args.codim, args.max_degree, args.strict, args.tuple_cap)
         if args.format == "tsv":
-            for t, sig in census_mod.census_records(*bounds):
+            for t, sig in census_mod.census_records(args.codim, args.max_degree, args.strict):
                 out.write(census_mod.tsv_line(t, sig) + "\n")
         else:
-            report = census_mod.run_census(*bounds)
+            report = census_mod.run_census(args.codim, args.max_degree, args.strict)
             out.write(census_mod.format_report(report) + "\n")
     elif cmd == "verify-paper":
         results = reference.run_checks()

@@ -18,11 +18,11 @@ no cell does.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm, prod
+from math import gcd, lcm
 
 from .diagram import Diagram, render_grid
 from .errors import EmptyColumn, NotADegreeSequence, NotInCone
-from .pure import PureSum, min_degree_sequence
+from .pure import PureSum, _denominators, min_degree_sequence
 
 __all__ = [
     "EliminationTable",
@@ -80,7 +80,7 @@ def greedy_decompose(a):
         except NotADegreeSequence as exc:
             raise stuck(f"column minima are not strictly increasing: {exc}") from exc
         keys = tuple(enumerate(d))
-        D = [prod([abs(di - dk) for dk in d if dk != di]) for di in d]
+        D = _denominators(d)
         m = min([R[key] * Di for key, Di in zip(keys, D)])
         L = lcm(*[Di // gcd(Di, m) for Di in D])
         if L > 1:  # make every m / D_i an integer

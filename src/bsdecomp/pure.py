@@ -40,12 +40,19 @@ def _increasing(d):
     return d
 
 
+def _denominators(d):
+    """The integers D_i = prod_{k != i} |d_i - d_k| of a strictly increasing d.
+
+    pure(d) is 1/D_i at (i, d_i).
+    """
+    return [prod([abs(di - dk) for dk in d if dk != di]) for di in d]
+
+
 def pure(d):
     """The normalized pure diagram on degree sequence d."""
     d = check_degree_sequence(d)
     return Diagram._of({
-        (i, di): Fraction(1, prod(abs(di - dk) for k, dk in enumerate(d) if k != i))
-        for i, di in enumerate(d)
+        (i, di): Fraction(1, Di) for i, (di, Di) in enumerate(zip(d, _denominators(d)))
     })
 
 

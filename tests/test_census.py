@@ -107,15 +107,27 @@ class TestRunCensus:
         (4, 9, True, comb(9, 4)),
         (5, 6, False, comb(10, 5)),
     ])
-    def test_tuple_cap(self, codim, max_degree, strict, count):
-        assert len(list(census_records(codim, max_degree, strict, cap=count))) == count
-        # Checked at the call, before any record is made.
-        with pytest.raises(SizeExceeded, match=f"^{count} tuples exceed the cap of {count - 1}$"):
-            census_records(codim, max_degree, strict, cap=count - 1)
-        with pytest.raises(SizeExceeded):
-            run_census(codim, max_degree, strict, cap=count - 1)
+    def test_tuple_count(self, codim, max_degree, strict, count):
+        # The count the cap is checked against is the count swept.
+        assert len(list(census_records(codim, max_degree, strict))) == count
 
-    def test_default_tuple_cap(self):
+    @pytest.mark.parametrize("codim, max_degree, strict", [
+        (4, 40, True),  # C(40, 4) = 91,390; C(41, 4) = 101,270
+        (4, 37, False),  # C(40, 4) = 91,390; C(41, 4) = 101,270
+        (5, 28, True),  # C(28, 5) = 98,280; C(29, 5) = 118,755
+    ])
+    def test_tuple_cap(self, codim, max_degree, strict):
+        assert DEFAULT_CENSUS_CAP == 10**5
+        census_records(codim, max_degree, strict)  # under the cap: no record made yet
+        count = comb(max_degree + 1, codim) if strict else comb(max_degree + codim, codim)
+        # Checked at the call, before any record is made.
+        message = f"^{count} tuples exceed the cap of {DEFAULT_CENSUS_CAP}$"
+        with pytest.raises(SizeExceeded, match=message):
+            census_records(codim, max_degree + 1, strict)
+        with pytest.raises(SizeExceeded, match=message):
+            run_census(codim, max_degree + 1, strict)
+
+    def test_huge_bound_is_refused(self):
         with pytest.raises(SizeExceeded, match=f"exceed the cap of {DEFAULT_CENSUS_CAP}$"):
             census_records(5, 10**9, False)
 

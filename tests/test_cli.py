@@ -195,14 +195,6 @@ class TestOtherCommands:
         assert code == 1
         assert capsys.readouterr() == ("", "SizeExceeded: 1749060 tuples exceed the cap of 100000\n")
 
-    @pytest.mark.parametrize("fmt", ["text", "tsv"])
-    def test_census_tuple_cap_flag(self, fmt, capsys):
-        argv = ["census", "--codim", "4", "--max-degree", "6", "--strict", "--format", fmt]
-        assert main(argv + ["--tuple-cap", "14"]) == 1
-        assert capsys.readouterr() == ("", "SizeExceeded: 15 tuples exceed the cap of 14\n")
-        assert main(argv + ["--tuple-cap", "15"]) == 0
-        assert capsys.readouterr().err == ""
-
     def test_verify_paper(self):
         code, text = invoke(["verify-paper"])
         assert code == 0
@@ -279,7 +271,6 @@ class TestErrors:
             ["census", "--codim=--", "--max-degree=4"],
             ["census", "--codim=4", "--max-degree=--"],
             ["census", "--codim=4", "--max-degree=4", "--format=--"],
-            ["census", "--codim=4", "--max-degree=4", "--tuple-cap=--"],
         ],
     )
     @pytest.mark.skipif(sys.version_info >= (3, 13), reason="argparse reads '--' as the value")
@@ -381,7 +372,6 @@ def cli_calls(draw, command):
         )
         argv += [f"--max-degree={draw(bound)}"]
         argv += option("--format", mostly(st.sampled_from(["text", "tsv"])))
-        argv += option("--tuple-cap", INT)
         argv += ["--strict"] if draw(st.booleans()) else []
     if draw(st.integers(0, 9)) == 0:
         del argv[draw(st.integers(0, len(argv) - 1))]
