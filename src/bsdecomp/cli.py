@@ -149,8 +149,7 @@ def run(args, out):
         out.write(format_betti(result))
     elif cmd == "quotient":
         if args.degrees is not None:
-            dec = greedy_decompose(koszul_betti(_parse_degrees(args.degrees))).decomposition
-            terms = dec.terms
+            terms = greedy_decompose(koszul_betti(_parse_degrees(args.degrees))).decomposition.terms
         else:
             terms = _read_terms(args.infile)
         result = quotient_by_regular_element(terms, args.element, cap=args.shuffle_cap)

@@ -37,7 +37,7 @@ class RequiresStrictDegrees(BsdecompError):
 
 
 class SizeExceeded(BsdecompError):
-    """A shuffle enumeration or census sweep would exceed the configured cap."""
+    """A shuffle, census or Koszul size exceeds its cap; only the shuffle cap is configurable."""
 
 
 class NotInCone(BsdecompError):

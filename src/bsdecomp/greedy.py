@@ -3,8 +3,8 @@
 Repeatedly subtract the largest multiple of the pure diagram on the
 residual's minimal degree sequence that keeps all entries nonnegative.
 The degree sequences produced form a strictly increasing chain and the
-decomposition is unique.  The elimination table records, per entry of
-the input, the iteration at which it first became zero.
+decomposition is unique.  The elimination table, per entry of the
+input the iteration at which it became zero, is read off the terms.
 
 The residual is kept as integer numerators R over one common
 denominator M.  A step on degree sequence d needs only the integers
@@ -34,10 +34,22 @@ __all__ = [
 
 @dataclass(frozen=True)
 class EliminationTable:
-    """Map (i, j) -> first iteration at which the entry became zero."""
+    """Map (i, j) -> iteration at which the entry became zero."""
 
     cells: dict
     iterations: int
+
+    @classmethod
+    def of(cls, decomposition):
+        """The table of a chain decomposition: column minima only move up,
+        and a cell stays its column's minimum until it reaches zero, so step
+        k clears (i, d_k[i]) exactly when d_{k+1}[i] != d_k[i], and the last
+        step clears every cell it touches.
+        """
+        seqs = [d for _, d in decomposition.terms]
+        cells = {(i, j): k for k, (d, after) in enumerate(zip(seqs, seqs[1:] + [None]), start=1)
+                 for i, j in enumerate(d) if not after or after[i] != j}
+        return cls(cells, len(seqs))
 
     def grid(self):
         return render_grid({key: str(it) for key, it in self.cells.items()})
@@ -46,7 +58,10 @@ class EliminationTable:
 @dataclass(frozen=True)
 class GreedyTrace:
     decomposition: PureSum
-    table: EliminationTable
+
+    @property
+    def table(self):
+        return EliminationTable.of(self.decomposition)
 
 
 def greedy_decompose(a):
@@ -61,8 +76,6 @@ def greedy_decompose(a):
     R = {key: v.numerator * (M // v.denominator) for key, v in items}
     top = sum(i == width for i, _ in R)  # cells left in column `width`
     terms = []
-    cells = {}
-    iteration = 0
 
     def stuck(message):
         residual = Diagram._of({key: Fraction(v, M) for key, v in R.items()})
@@ -70,7 +83,6 @@ def greedy_decompose(a):
 
     # Each step clears the cell attaining q, so there are at most len(a) steps.
     while R:
-        iteration += 1
         if not top:
             raise stuck(f"column {width} emptied while lower columns remain")
         try:
@@ -95,7 +107,6 @@ def greedy_decompose(a):
                 R[key] = value
             else:
                 del R[key]
-                cells[key] = iteration
                 top -= key[0] == width
         if L > 1:
             g = gcd(M, *R.values())
@@ -103,10 +114,7 @@ def greedy_decompose(a):
                 M //= g
                 for key in R:
                     R[key] //= g
-    return GreedyTrace(
-        decomposition=PureSum(tuple(terms)),
-        table=EliminationTable(cells=cells, iterations=iteration),
-    )
+    return GreedyTrace(PureSum(tuple(terms)))
 
 
 def verify_symmetric(trace, r, n):

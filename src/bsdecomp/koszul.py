@@ -11,9 +11,11 @@ from fractions import Fraction
 from math import prod
 
 from .diagram import Diagram
-from .errors import NonPositiveDegree, NotWeaklyIncreasing
+from .errors import NonPositiveDegree, NotWeaklyIncreasing, SizeExceeded
 
 __all__ = ["CIType", "normalize", "koszul_betti"]
+
+KOSZUL_CELL_CAP = 10**5
 
 
 @dataclass(frozen=True)
@@ -58,8 +60,8 @@ def normalize(degrees):
 def koszul_betti(t):
     """Betti diagram of the complete intersection of type t.
 
-    Subset-sum multiplicities are accumulated one generator at a time,
-    which is polynomial in n * sum(e_i) rather than 2^n.
+    Subset-sum multiplicities are accumulated one generator at a time.
+    Cell counts never shrink, so KOSZUL_CELL_CAP is checked after each.
     """
     t = normalize(t)
     counts = {(0, 0): 1}
@@ -69,4 +71,7 @@ def koszul_betti(t):
             key = (i + 1, j + e)
             new[key] = new.get(key, 0) + c
         counts = new
+        if len(counts) > KOSZUL_CELL_CAP:
+            raise SizeExceeded(f"Betti diagram of codimension {t.codim} exceeds the cap of "
+                               f"{KOSZUL_CELL_CAP} cells")
     return Diagram._of({key: Fraction(c) for key, c in counts.items()})

@@ -234,6 +234,7 @@ class TestErrors:
             (["quotient", "--element", "2"], None, "1\t(0,2,1)\n"),
             (["census", "--codim", "4", "--max-degree", "0", "--format", "tsv"], None, None),
             (["decompose"], "BETTI 1\n0\t0\t2/4\n", None),
+            (["ci-betti", "--degrees", ",".join(str(2**k) for k in range(40))], None, None),
         ],
     )
     def test_bad_input_is_one_error_line(self, argv, betti, terms, tmp_path, capsys):

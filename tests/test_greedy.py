@@ -1,5 +1,5 @@
 import random
-from collections import Counter
+from collections import Counter, namedtuple
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 
@@ -11,7 +11,6 @@ from bsdecomp import (
     Diagram,
     EliminationTable,
     EmptyColumn,
-    GreedyTrace,
     NotADegreeSequence,
     NotInCone,
     PureSum,
@@ -32,6 +31,9 @@ from bsdecomp.reference import (
 
 def grid_cells(text):
     return [line.split() for line in text.splitlines()]
+
+
+FractionTrace = namedtuple("FractionTrace", "decomposition table")
 
 
 def fraction_greedy(a):
@@ -71,7 +73,7 @@ def fraction_greedy(a):
                 del residual[key]
                 cells[key] = iteration
                 top -= key[0] == width
-    return GreedyTrace(
+    return FractionTrace(
         decomposition=PureSum(tuple(terms)),
         table=EliminationTable(cells=cells, iterations=iteration),
     )
@@ -114,6 +116,12 @@ class TestFractionReference:
     @pytest.mark.parametrize("n, max_degree", [(1, 8), (2, 8), (3, 8), (4, 8), (5, 6)])
     def test_weak_koszul_types(self, n, max_degree):
         for degrees in combinations_with_replacement(range(1, max_degree + 1), n):
+            a = koszul_betti(CIType(degrees))
+            assert outcome(greedy_decompose, a) == outcome(fraction_greedy, a), degrees
+
+    @pytest.mark.parametrize("n, max_degree", [(4, 10), (5, 12)])
+    def test_strict_census_types(self, n, max_degree):
+        for degrees in combinations(range(1, max_degree + 1), n):
             a = koszul_betti(CIType(degrees))
             assert outcome(greedy_decompose, a) == outcome(fraction_greedy, a), degrees
 

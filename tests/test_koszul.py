@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bsdecomp import CIType, Diagram, koszul_betti, normalize
-from bsdecomp.errors import NonPositiveDegree, NotWeaklyIncreasing
+from bsdecomp.errors import NonPositiveDegree, NotWeaklyIncreasing, SizeExceeded
+from bsdecomp.koszul import KOSZUL_CELL_CAP
 from bsdecomp.shuffle import shuffle_product
 
 from conftest import koszul_by_enumeration
@@ -63,6 +64,14 @@ class TestKoszulBetti:
         assert normalize(permuted) == normalize(degrees)
         assert koszul_betti(permuted) == koszul_betti(degrees)
         assert koszul_by_enumeration(permuted) == koszul_betti(degrees)
+
+    def test_cell_cap(self):
+        # n distinct powers of two give 2^n cells: 2^16 is under the cap, 2^17 over it.
+        assert KOSZUL_CELL_CAP == 10**5
+        assert len(koszul_betti(CIType(tuple(2**k for k in range(16))))) == 2**16
+        message = f"^Betti diagram of codimension 17 exceeds the cap of {KOSZUL_CELL_CAP} cells$"
+        with pytest.raises(SizeExceeded, match=message):
+            koszul_betti(CIType(tuple(2**k for k in range(17))))
 
     def test_matches_enumeration_oracle(self):
         # Exhaustive against the 2^n oracle for all tuples with n <= 4, e <= 5.
