@@ -6,6 +6,7 @@ from .diagram import (
     format_betti,
     format_fraction,
     parse_betti,
+    parse_fraction,
     render_grid,
 )
 from .errors import (

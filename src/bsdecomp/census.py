@@ -20,7 +20,7 @@ from .koszul import CIType, koszul_betti, normalize
 from .pure import format_sequence
 
 __all__ = [
-    "DEFAULT_CENSUS_CAP",
+    "CENSUS_CAP",
     "EliminationSignature",
     "CensusReport",
     "signature_of",
@@ -89,7 +89,7 @@ class CensusReport:
 
 
 WITNESS_CAP = 5
-DEFAULT_CENSUS_CAP = 10**5
+CENSUS_CAP = 10**5
 
 
 def census_records(codim, max_degree, strict):
@@ -105,8 +105,8 @@ def census_records(codim, max_degree, strict):
     if max_degree < 1:
         raise ValueError("tuples need max_degree >= 1")
     count = comb(max_degree, codim) if strict else comb(max_degree + codim - 1, codim)
-    if count > DEFAULT_CENSUS_CAP:
-        raise SizeExceeded(f"{count} tuples exceed the cap of {DEFAULT_CENSUS_CAP}")
+    if count > CENSUS_CAP:
+        raise SizeExceeded(f"{count} tuples exceed the cap of {CENSUS_CAP}")
     return ((t, signature_of(t)) for t in iter_types(codim, max_degree, strict))
 
 

@@ -9,12 +9,11 @@ stderr; usage errors exit 2.
 import argparse
 import functools
 import sys
-from fractions import Fraction
 
 from . import census as census_mod
 from . import reference
 from .closed_forms import closed_form_decomposition, first_elimination
-from .diagram import format_betti, format_fraction, parse_betti
+from .diagram import format_betti, format_fraction, parse_betti, parse_fraction
 from .errors import BsdecompError, NotADegreeSequence
 from .greedy import greedy_decompose
 from .koszul import normalize, koszul_betti
@@ -45,10 +44,10 @@ def _read_terms(path):
                 continue
             coeff_text, _, seq_text = line.partition("\t")
             try:
-                terms.append((Fraction(coeff_text), parse_sequence(seq_text)))
+                terms.append((parse_fraction(coeff_text), parse_sequence(seq_text)))
             except NotADegreeSequence as exc:
                 raise NotADegreeSequence(f"line {lineno}: {exc}") from None
-            except (ValueError, ZeroDivisionError) as exc:
+            except ValueError as exc:
                 raise ValueError(f"line {lineno}: {exc}") from None
     return terms
 
@@ -95,11 +94,9 @@ def build_parser():
 
     p = sub.add_parser("shuffle", help="expand a product of pure diagrams")
     p.add_argument("--seq", action="append", required=True, help="degree sequence, e.g. 0,3,5 (repeatable)")
-    p.add_argument("--shuffle-cap", type=int, default=None)
 
     p = sub.add_parser("ci-shuffle", help="order-free decomposition of a complete intersection")
     p.add_argument("--degrees", required=True)
-    p.add_argument("--shuffle-cap", type=int, default=None)
 
     p = sub.add_parser("tensor", help="tensor product of diagrams")
     p.add_argument("--in", dest="infiles", action="append", required=True, help="BETTI/1 file (repeatable)")
@@ -109,7 +106,6 @@ def build_parser():
     group.add_argument("--degrees", help="decompose this complete intersection first")
     group.add_argument("--in", dest="infile", help="file of coeff<TAB>(sequence) lines")
     p.add_argument("--element", type=int, required=True, help="degree of the regular element")
-    p.add_argument("--shuffle-cap", type=int, default=None)
 
     p = sub.add_parser("census", help="sweep elimination signatures")
     p.add_argument("--codim", type=int, required=True, choices=(4, 5))
@@ -137,10 +133,9 @@ def run(args, out):
         out.write(f"Column{cols[0]}\n" if len(cols) == 1 else "Multiple\n")
     elif cmd == "shuffle":
         seqs = [parse_sequence(s) for s in args.seq]
-        _print_terms(shuffle_product(seqs, cap=args.shuffle_cap), out)
+        _print_terms(shuffle_product(seqs), out)
     elif cmd == "ci-shuffle":
-        dec = ci_shuffle_decomposition(_parse_degrees(args.degrees), cap=args.shuffle_cap)
-        _print_terms(dec, out)
+        _print_terms(ci_shuffle_decomposition(_parse_degrees(args.degrees)), out)
     elif cmd == "tensor":
         diagrams = [_load_diagram(path) for path in args.infiles]
         result = diagrams[0]
@@ -152,8 +147,7 @@ def run(args, out):
             terms = greedy_decompose(koszul_betti(_parse_degrees(args.degrees))).decomposition.terms
         else:
             terms = _read_terms(args.infile)
-        result = quotient_by_regular_element(terms, args.element, cap=args.shuffle_cap)
-        _print_terms(result, out)
+        _print_terms(quotient_by_regular_element(terms, args.element), out)
     elif cmd == "census":
         if args.format == "tsv":
             for t, sig in census_mod.census_records(args.codim, args.max_degree, args.strict):

@@ -15,6 +15,7 @@ __all__ = [
     "format_betti",
     "format_fraction",
     "parse_betti",
+    "parse_fraction",
     "render_grid",
 ]
 
@@ -140,6 +141,22 @@ def format_fraction(q):
     return f"{q.numerator}/{q.denominator}"
 
 
+def parse_fraction(text):
+    """Read `p`, or `p/q` with q > 0 in lowest terms: the BETTI/1 value grammar."""
+    num, sep, den = text.partition("/")
+    try:
+        p = int(num)
+        q = int(den) if sep else 1
+    except ValueError:
+        raise ValueError(f"bad rational {text!r}") from None
+    if q <= 0:
+        raise ValueError(f"denominator must be positive in {text!r}")
+    value = Fraction(p, q)
+    if sep and (value.numerator != p or value.denominator != q):
+        raise ValueError(f"fraction {text!r} is not in lowest terms")
+    return value
+
+
 def render_grid(cells):
     """Render sparse cells {(i, j): str} in the conventional grid layout.
 
@@ -177,21 +194,6 @@ def format_betti(diagram):
     return "\n".join(lines) + "\n"
 
 
-def _parse_rational(text, lineno):
-    num, sep, den = text.partition("/")
-    try:
-        p = int(num)
-        q = int(den) if sep else 1
-    except ValueError:
-        raise BettiFormatError(f"bad rational {text!r}", lineno) from None
-    if q <= 0:
-        raise BettiFormatError(f"denominator must be positive in {text!r}", lineno)
-    value = Fraction(p, q)
-    if sep and (value.numerator != p or value.denominator != q):
-        raise BettiFormatError(f"fraction {text!r} is not in lowest terms", lineno)
-    return value
-
-
 def parse_betti(text):
     """Parse a BETTI/1 document, rejecting malformed input."""
     lines = text.splitlines()
@@ -211,7 +213,10 @@ def parse_betti(text):
             raise BettiFormatError("bad integer index", lineno) from None
         if i < 0:
             raise BettiFormatError("homological index must be >= 0", lineno)
-        value = _parse_rational(parts[2], lineno)
+        try:
+            value = parse_fraction(parts[2])
+        except ValueError as exc:
+            raise BettiFormatError(str(exc), lineno) from None
         if value == 0:
             raise BettiFormatError("zero entries may not be stored", lineno)
         if (i, j) in entries:

@@ -37,7 +37,7 @@ class RequiresStrictDegrees(BsdecompError):
 
 
 class SizeExceeded(BsdecompError):
-    """A shuffle, census or Koszul size exceeds its cap; only the shuffle cap is configurable."""
+    """A shuffle, census, Koszul or tensor size exceeds its cap; every cap is fixed."""
 
 
 class NotInCone(BsdecompError):

@@ -17,7 +17,8 @@ from .koszul import normalize
 from .pure import PureSum, check_degree_sequence, delta
 
 __all__ = [
-    "DEFAULT_SHUFFLE_CAP",
+    "SHUFFLE_CAP",
+    "TENSOR_CAP",
     "tensor",
     "shuffles",
     "shuffle_count",
@@ -28,11 +29,16 @@ __all__ = [
     "shuffle_identity_check",
 ]
 
-DEFAULT_SHUFFLE_CAP = 10**6
+SHUFFLE_CAP = 10**6
+TENSOR_CAP = 10**6
 
 
 def tensor(a, b):
-    """Bidegree convolution of two diagrams."""
+    """Bidegree convolution of two diagrams.  The number of cell pairs is
+    checked against the cap before the first pair is multiplied."""
+    pairs = len(a) * len(b)
+    if pairs > TENSOR_CAP:
+        raise SizeExceeded(f"{pairs} cell pairs exceed the cap of {TENSOR_CAP}")
     entries = {}
     for (i1, j1), v1 in a.items():
         for (i2, j2), v2 in b.items():
@@ -46,7 +52,7 @@ def shuffle_count(sizes):
     return factorial(sum(sizes)) // prod(factorial(s) for s in sizes)
 
 
-def shuffles(sets, cap=None):
+def shuffles(sets):
     """All interleavings preserving each input sequence's internal order.
 
     Positions are distinguishable even when values repeat, so the result
@@ -56,9 +62,8 @@ def shuffles(sets, cap=None):
     """
     sets = [tuple(s) for s in sets]
     count = shuffle_count([len(s) for s in sets])
-    cap = DEFAULT_SHUFFLE_CAP if cap is None else cap
-    if count > cap:
-        raise SizeExceeded(f"{count} shuffles exceed the cap of {cap}")
+    if count > SHUFFLE_CAP:
+        raise SizeExceeded(f"{count} shuffles exceed the cap of {SHUFFLE_CAP}")
     return _interleavings(sets)
 
 
@@ -92,16 +97,16 @@ def prod_of(s):
     return Fraction(result)
 
 
-def _product_sequences(ds, cap):
+def _product_sequences(ds):
     """The multiplication law: the partial sums, from the summed starting
     degrees, of each shuffle of the factors' (positive) first differences."""
     ds = [check_degree_sequence(d) for d in ds]
     start = sum(d[0] for d in ds)
-    for s in shuffles([delta(d) for d in ds], cap=cap):
+    for s in shuffles([delta(d) for d in ds]):
         yield tuple(accumulate(s, initial=start))
 
 
-def shuffle_product(ds, cap=None):
+def shuffle_product(ds):
     """Expand a product of pure diagrams as a merged sum of pure diagrams.
 
     Each shuffle contributes its pure diagram with coefficient 1;
@@ -110,10 +115,10 @@ def shuffle_product(ds, cap=None):
     ds = list(ds)
     if not ds:
         raise ValueError("need at least one degree sequence")
-    return PureSum.merged((1, p) for p in _product_sequences(ds, cap))
+    return PureSum.merged((1, p) for p in _product_sequences(ds))
 
 
-def quotient_by_regular_element(dec, e, cap=None):
+def quotient_by_regular_element(dec, e):
     """Decomposition after quotienting by a regular element of degree e.
 
     That is the product with the element's Koszul diagram e * pi(0, e):
@@ -125,11 +130,11 @@ def quotient_by_regular_element(dec, e, cap=None):
     return PureSum.merged(
         (e * Fraction(coeff), p)
         for coeff, d in dec
-        for p in _product_sequences([d, (0, e)], cap)
+        for p in _product_sequences([d, (0, e)])
     )
 
 
-def ci_shuffle_decomposition(t, cap=None):
+def ci_shuffle_decomposition(t):
     """Order-free decomposition of a complete intersection's diagram.
 
     The product of the generators' Koszul diagrams e_i * pi(0, e_i):
@@ -139,15 +144,15 @@ def ci_shuffle_decomposition(t, cap=None):
     t = normalize(t)
     mult = t.multiplicity
     return PureSum.merged(
-        (mult, p) for p in _product_sequences([(0, e) for e in t.degrees], cap)
+        (mult, p) for p in _product_sequences([(0, e) for e in t.degrees])
     )
 
 
-def shuffle_identity_check(sets, cap=None):
+def shuffle_identity_check(sets):
     """Sum over shuffles of prod(Prod(A_i)) / Prod(sigma); always 1."""
     sets = [tuple(s) for s in sets]
     numerator = prod(prod_of(s) for s in sets)
     return sum(
-        (numerator / prod_of(s) for s in shuffles(sets, cap=cap)),
+        (numerator / prod_of(s) for s in shuffles(sets)),
         Fraction(0),
     )

@@ -4,7 +4,7 @@ import pytest
 
 from bsdecomp import CIType, SizeExceeded, first_elimination, greedy_decompose, koszul_betti
 from bsdecomp.census import (
-    DEFAULT_CENSUS_CAP,
+    CENSUS_CAP,
     census_records,
     format_report,
     iter_types,
@@ -117,18 +117,18 @@ class TestRunCensus:
         (5, 28, True),  # C(28, 5) = 98,280; C(29, 5) = 118,755
     ])
     def test_tuple_cap(self, codim, max_degree, strict):
-        assert DEFAULT_CENSUS_CAP == 10**5
+        assert CENSUS_CAP == 10**5
         census_records(codim, max_degree, strict)  # under the cap: no record made yet
         count = comb(max_degree + 1, codim) if strict else comb(max_degree + codim, codim)
         # Checked at the call, before any record is made.
-        message = f"^{count} tuples exceed the cap of {DEFAULT_CENSUS_CAP}$"
+        message = f"^{count} tuples exceed the cap of {CENSUS_CAP}$"
         with pytest.raises(SizeExceeded, match=message):
             census_records(codim, max_degree + 1, strict)
         with pytest.raises(SizeExceeded, match=message):
             run_census(codim, max_degree + 1, strict)
 
     def test_huge_bound_is_refused(self):
-        with pytest.raises(SizeExceeded, match=f"exceed the cap of {DEFAULT_CENSUS_CAP}$"):
+        with pytest.raises(SizeExceeded, match=f"exceed the cap of {CENSUS_CAP}$"):
             census_records(5, 10**9, False)
 
     def test_determinism(self):

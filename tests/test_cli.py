@@ -1,3 +1,4 @@
+import argparse
 import io
 import re
 import sys
@@ -97,11 +98,10 @@ class TestOtherCommands:
         assert text.splitlines()[0] == "1\t(0,3,5,6,11)"
 
     def test_shuffle_cap_flag(self, capsys):
-        code = main(
-            ["shuffle", "--seq", "0,1,2,3,4", "--seq", "0,1,2,3,4", "--shuffle-cap", "5"]
-        )
+        # 10! interleavings of ten one-step factors: refused at the fixed cap.
+        code = main(["shuffle"] + ["--seq", "0,1"] * 10)
         assert code == 1
-        assert "SizeExceeded" in capsys.readouterr().err
+        assert capsys.readouterr() == ("", "SizeExceeded: 3628800 shuffles exceed the cap of 1000000\n")
 
     def test_ci_shuffle(self):
         code, text = invoke(["ci-shuffle", "--degrees", "2,3,4,7"])
@@ -119,6 +119,17 @@ class TestOtherCommands:
         _, product = invoke(["tensor", "--in", str(pa), "--in", str(pb)])
         _, direct = invoke(["ci-betti", "--degrees", "1,2,4,8"])
         assert product == direct
+
+    def test_tensor_cap(self, tmp_path, capsys):
+        # The Koszul diagram of 1,2,4,...,512 has 1,024 cells: 1,048,576 pairs.
+        _, text = invoke(["ci-betti", "--degrees", ",".join(str(2**k) for k in range(10))])
+        path = tmp_path / "k10.betti"
+        path.write_text(text)
+        start = perf_counter()
+        code = main(["tensor", "--in", str(path), "--in", str(path)])
+        assert perf_counter() - start < 5
+        assert code == 1
+        assert capsys.readouterr() == ("", "SizeExceeded: 1048576 cell pairs exceed the cap of 1000000\n")
 
     def test_quotient_from_degrees(self):
         code, text = invoke(["quotient", "--degrees", "2,3,4", "--element", "7"])
@@ -141,9 +152,9 @@ class TestOtherCommands:
         assert invoke(argv) == (0, (GOLDEN / golden).read_text())
 
     def test_ci_shuffle_cap_flag(self, capsys):
-        code = main(["ci-shuffle", "--degrees", "1,2,3,4,5", "--shuffle-cap", "119"])
+        code = main(["ci-shuffle", "--degrees", "1,2,3,4,5,6,7,8,9,10"])
         assert code == 1
-        assert capsys.readouterr().err == "SizeExceeded: 120 shuffles exceed the cap of 119\n"
+        assert capsys.readouterr() == ("", "SizeExceeded: 3628800 shuffles exceed the cap of 1000000\n")
 
     def test_shuffle_long_sequence(self, capsys):
         seq = ",".join(str(k) for k in range(1201))
@@ -201,6 +212,14 @@ class TestOtherCommands:
         assert "FAIL" not in text
 
 
+def test_readme_lists_only_parser_flags():
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    flags = set(re.findall(r"--[a-z][a-z-]*", readme[readme.index("## CLI"):]))
+    (sub,) = (a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    known = {s for p in sub.choices.values() for a in p._actions for s in a.option_strings}
+    assert flags and flags <= known, sorted(flags - known)
+
+
 class TestErrors:
     def test_usage_error_exit_2(self):
         with pytest.raises(SystemExit) as exc:
@@ -235,6 +254,9 @@ class TestErrors:
             (["census", "--codim", "4", "--max-degree", "0", "--format", "tsv"], None, None),
             (["decompose"], "BETTI 1\n0\t0\t2/4\n", None),
             (["ci-betti", "--degrees", ",".join(str(2**k) for k in range(40))], None, None),
+            (["quotient", "--element", "2"], None, "1e100000000\t(0,1)\n"),
+            (["quotient", "--element", "2"], None, "0.5\t(0,1)\n"),
+            (["quotient", "--element", "2"], None, "2/4\t(0,1)\n"),
         ],
     )
     def test_bad_input_is_one_error_line(self, argv, betti, terms, tmp_path, capsys):
@@ -261,14 +283,11 @@ class TestErrors:
             ["predict-first-elim", "--degrees=--"],
             ["shuffle", "--seq=--"],
             ["shuffle", "--seq=0,1", "--seq=--"],
-            ["shuffle", "--seq=0,1", "--shuffle-cap=--"],
             ["ci-shuffle", "--degrees=--"],
-            ["ci-shuffle", "--degrees=1,2", "--shuffle-cap=--"],
             ["tensor", "--in=--"],
             ["quotient", "--degrees=--", "--element=2"],
             ["quotient", "--in=--", "--element=2"],
             ["quotient", "--degrees=2,3", "--element=--"],
-            ["quotient", "--degrees=2,3", "--element=2", "--shuffle-cap=--"],
             ["census", "--codim=--", "--max-degree=4"],
             ["census", "--codim=4", "--max-degree=--"],
             ["census", "--codim=4", "--max-degree=4", "--format=--"],
@@ -319,7 +338,7 @@ VALUE = mostly(st.sampled_from(["1", "2", "1/2", "3", "-1"]), st.sampled_from(["
 CELL = st.tuples(st.integers(0, 3), st.integers(-2, 9))
 BETTI = mostly(st.dictionaries(CELL, VALUE, max_size=6).map(betti_text))
 TERMS = st.lists(
-    st.tuples(st.sampled_from(["1", "-2", "1/3", "0", "1/0", "x", ""]), SEQ),
+    st.tuples(st.sampled_from(["1", "-2", "1/3", "0", "1/0", "x", "", "0.5", "1e9"]), SEQ),
     min_size=1,
     max_size=4,
 ).map(lambda terms: "".join(f"{c}\t({q})\n" for c, q in terms))
@@ -357,14 +376,13 @@ def cli_calls(draw, command):
         argv += source(BETTI)
     elif command == "shuffle":
         argv += [f"--seq={seq}" for seq in draw(st.lists(SEQ, min_size=1, max_size=3))]
-        argv += option("--shuffle-cap", INT)
     elif command == "ci-shuffle":
-        argv += [f"--degrees={draw(DEGREES)}"] + option("--shuffle-cap", INT)
+        argv += [f"--degrees={draw(DEGREES)}"]
     elif command == "tensor":
         for _ in range(draw(st.integers(1, 3))):
             argv += infile(BETTI)
     elif command == "quotient":
-        argv += source(TERMS) + [f"--element={draw(INT)}"] + option("--shuffle-cap", INT)
+        argv += source(TERMS) + [f"--element={draw(INT)}"]
     elif command == "census":
         argv += [f"--codim={draw(mostly(st.sampled_from(['4', '5'])))}"]
         bound = mostly(

@@ -24,6 +24,7 @@ from bsdecomp import (
     tensor,
 )
 from bsdecomp.errors import LengthMismatch
+from bsdecomp.shuffle import SHUFFLE_CAP, TENSOR_CAP
 from bsdecomp.reference import (
     QUOTIENT_2_3_4_BY_7,
     QUOTIENT_BASE_2_3_4,
@@ -59,6 +60,14 @@ class TestTensor:
     def test_bilinear(self, a, b, c):
         assert tensor(a, b + c) == tensor(a, b) + tensor(a, c)
 
+    def test_cap(self):
+        assert TENSOR_CAP == 10**6
+        a = Diagram({(0, j): 1 for j in range(1001)})
+        b = Diagram({(0, j): 1 for j in range(1000)})
+        # 1,001,000 cell pairs: refused before the first is multiplied.
+        with pytest.raises(SizeExceeded, match="^1001000 cell pairs exceed the cap of 1000000$"):
+            tensor(a, b)
+
 
 class TestShuffles:
     def test_example_interleavings(self):
@@ -85,8 +94,10 @@ class TestShuffles:
             assert shuffle_count((a, b)) == comb(a + b, a)
 
     def test_cap(self):
-        with pytest.raises(SizeExceeded):
-            shuffles([(1,)] * 10, cap=100)
+        assert SHUFFLE_CAP == 10**6
+        shuffles([(1,)] * 9)  # 9! = 362,880: under the cap, nothing made yet
+        with pytest.raises(SizeExceeded, match="^3628800 shuffles exceed the cap of 1000000$"):
+            shuffles([(1,)] * 10)
 
     def test_order_oracle(self):
         # Lexicographic in the source labels: the sorted distinct
