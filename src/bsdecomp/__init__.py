@@ -34,7 +34,6 @@ from .pure import (
 from .koszul import CIType, koszul_betti, normalize
 from .greedy import (
     EliminationTable,
-    GreedyTrace,
     greedy_decompose,
     verify_symmetric,
 )

@@ -15,7 +15,7 @@ from math import comb
 
 from .closed_forms import first_elimination
 from .errors import SizeExceeded
-from .greedy import greedy_decompose
+from .greedy import EliminationTable, greedy_decompose
 from .koszul import CIType, koszul_betti, normalize
 from .pure import format_sequence
 
@@ -58,7 +58,7 @@ class EliminationSignature:
 def signature_of(t):
     """Elimination signature of the Koszul diagram of type t."""
     t = normalize(t)
-    table = greedy_decompose(koszul_betti(t)).table
+    table = EliminationTable.of(greedy_decompose(koszul_betti(t)))
     # Every iteration clears the cell attaining its coefficient.
     steps = [set() for _ in range(table.iterations)]
     for (i, _), it in table.cells.items():

@@ -15,7 +15,7 @@ from . import reference
 from .closed_forms import closed_form_decomposition, first_elimination
 from .diagram import format_betti, format_fraction, parse_betti, parse_fraction
 from .errors import BsdecompError, NotADegreeSequence
-from .greedy import greedy_decompose
+from .greedy import EliminationTable, greedy_decompose
 from .koszul import normalize, koszul_betti
 from .pure import format_sequence, parse_sequence
 from .shuffle import (
@@ -123,9 +123,9 @@ def run(args, out):
     if cmd == "ci-betti":
         out.write(format_betti(koszul_betti(_parse_degrees(args.degrees))))
     elif cmd == "decompose":
-        _print_terms(greedy_decompose(_input_diagram(args)).decomposition, out)
+        _print_terms(greedy_decompose(_input_diagram(args)), out)
     elif cmd == "elim-table":
-        out.write(greedy_decompose(_input_diagram(args)).table.grid() + "\n")
+        out.write(EliminationTable.of(greedy_decompose(_input_diagram(args))).grid() + "\n")
     elif cmd == "closed-form":
         _print_terms(closed_form_decomposition(_parse_degrees(args.degrees)), out)
     elif cmd == "predict-first-elim":
@@ -144,10 +144,10 @@ def run(args, out):
         out.write(format_betti(result))
     elif cmd == "quotient":
         if args.degrees is not None:
-            terms = greedy_decompose(koszul_betti(_parse_degrees(args.degrees))).decomposition.terms
+            base = greedy_decompose(koszul_betti(_parse_degrees(args.degrees)))
         else:
-            terms = _read_terms(args.infile)
-        _print_terms(quotient_by_regular_element(terms, args.element), out)
+            base = _read_terms(args.infile)
+        _print_terms(quotient_by_regular_element(base, args.element), out)
     elif cmd == "census":
         if args.format == "tsv":
             for t, sig in census_mod.census_records(args.codim, args.max_degree, args.strict):

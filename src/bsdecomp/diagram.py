@@ -5,6 +5,7 @@ integer.  Zero entries are never stored, so equality is structural.  All
 arithmetic is exact; no floats appear anywhere.
 """
 
+import re
 from fractions import Fraction
 
 from .errors import BettiFormatError
@@ -123,12 +124,6 @@ class Diagram:
     def __repr__(self):
         return f"Diagram({dict(self.items())!r})"
 
-    def __str__(self):
-        if not self:
-            return "(zero diagram)"
-        cells = {key: format_fraction(v) for key, v in self._entries.items()}
-        return render_grid(cells)
-
 
 ZERO = Diagram()
 
@@ -141,14 +136,18 @@ def format_fraction(q):
     return f"{q.numerator}/{q.denominator}"
 
 
+# An integer token: ASCII digits after an optional minus sign.  `int()`
+# alone would also take `+`, `_`, surrounding spaces and non-ASCII digits.
+_INTEGER = re.compile(r"-?[0-9]+")
+
+
 def parse_fraction(text):
     """Read `p`, or `p/q` with q > 0 in lowest terms: the BETTI/1 value grammar."""
     num, sep, den = text.partition("/")
-    try:
-        p = int(num)
-        q = int(den) if sep else 1
-    except ValueError:
-        raise ValueError(f"bad rational {text!r}") from None
+    if not _INTEGER.fullmatch(num) or sep and not _INTEGER.fullmatch(den):
+        raise ValueError(f"bad rational {text!r}")
+    p = int(num)
+    q = int(den) if sep else 1
     if q <= 0:
         raise ValueError(f"denominator must be positive in {text!r}")
     value = Fraction(p, q)
@@ -207,10 +206,9 @@ def parse_betti(text):
         parts = line.split("\t")
         if len(parts) != 3:
             raise BettiFormatError("expected i<TAB>j<TAB>value", lineno)
-        try:
-            i, j = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise BettiFormatError("bad integer index", lineno) from None
+        if not (_INTEGER.fullmatch(parts[0]) and _INTEGER.fullmatch(parts[1])):
+            raise BettiFormatError("bad integer index", lineno)
+        i, j = int(parts[0]), int(parts[1])
         if i < 0:
             raise BettiFormatError("homological index must be >= 0", lineno)
         try:

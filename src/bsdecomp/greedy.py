@@ -26,7 +26,6 @@ from .pure import PureSum, _denominators, min_degree_sequence
 
 __all__ = [
     "EliminationTable",
-    "GreedyTrace",
     "greedy_decompose",
     "verify_symmetric",
 ]
@@ -55,17 +54,8 @@ class EliminationTable:
         return render_grid({key: str(it) for key, it in self.cells.items()})
 
 
-@dataclass(frozen=True)
-class GreedyTrace:
-    decomposition: PureSum
-
-    @property
-    def table(self):
-        return EliminationTable.of(self.decomposition)
-
-
 def greedy_decompose(a):
-    """Run the greedy chain decomposition, returning terms and the table."""
+    """Run the greedy chain decomposition, returning its chain as a PureSum."""
     if not a:
         raise NotInCone("cannot decompose the zero diagram")
     items = a.items()
@@ -114,10 +104,10 @@ def greedy_decompose(a):
                 M //= g
                 for key in R:
                     R[key] //= g
-    return GreedyTrace(PureSum(tuple(terms)))
+    return PureSum(tuple(terms))
 
 
-def verify_symmetric(trace, r, n):
+def verify_symmetric(decomposition, r, n):
     """Check the palindromic symmetry of a chain decomposition.
 
     For a self-dual (Gorenstein) diagram of width n and regularity r the
@@ -126,7 +116,7 @@ def verify_symmetric(trace, r, n):
     the top degree r + n, (r + n - d_n, ..., r + n - d_0).  Every d_k
     must have n + 1 entries.  Returns False on any asymmetry.
     """
-    terms = trace.decomposition.terms
+    terms = decomposition.terms
     shift = r + n
     m = len(terms)
     for k in range((m + 1) // 2):

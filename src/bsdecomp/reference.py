@@ -7,7 +7,7 @@ from fractions import Fraction
 
 from .closed_forms import closed_form_decomposition
 from .diagram import Diagram
-from .greedy import greedy_decompose, verify_symmetric
+from .greedy import EliminationTable, greedy_decompose, verify_symmetric
 from .koszul import CIType, koszul_betti
 from .pure import pure
 from .shuffle import (
@@ -149,8 +149,7 @@ def _grid_cells(text):
 
 
 def _check_decomp_1_2_4_8():
-    trace = greedy_decompose(koszul_betti(CIType((1, 2, 4, 8))))
-    return trace.decomposition.terms == DECOMP_1_2_4_8
+    return greedy_decompose(koszul_betti(CIType((1, 2, 4, 8)))).terms == DECOMP_1_2_4_8
 
 
 def _check_elimination_tables():
@@ -160,7 +159,7 @@ def _check_elimination_tables():
         (4, 5, 7, 9): ELIM_TABLE_4_5_7_9,
     }
     for degrees, grid in expected.items():
-        table = greedy_decompose(koszul_betti(CIType(degrees))).table
+        table = EliminationTable.of(greedy_decompose(koszul_betti(CIType(degrees))))
         if _grid_cells(table.grid()) != _grid_cells(grid):
             return False
     return True
@@ -206,8 +205,7 @@ def _check_shuffle_identity():
 def _check_symmetry():
     for degrees in ((1, 2, 4, 8), (2, 3, 7)):
         t = CIType(degrees)
-        trace = greedy_decompose(koszul_betti(t))
-        if not verify_symmetric(trace, t.regularity, t.codim):
+        if not verify_symmetric(greedy_decompose(koszul_betti(t)), t.regularity, t.codim):
             return False
     return True
 

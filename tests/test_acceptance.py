@@ -10,6 +10,7 @@ from itertools import combinations, combinations_with_replacement
 
 from bsdecomp import (
     CIType,
+    EliminationTable,
     ci_shuffle_decomposition,
     closed_form_decomposition,
     first_elimination,
@@ -87,7 +88,7 @@ def test_criterion_3_closed_forms_exhaustive():
         for degrees in combinations_with_replacement(range(1, 9), n):
             t = CIType(degrees)
             formula = closed_form_decomposition(t)
-            greedy = greedy_decompose(koszul_betti(t)).decomposition
+            greedy = greedy_decompose(koszul_betti(t))
             assert sorted(formula.terms) == sorted(greedy.terms), degrees
             counts[n] += 1
     assert counts == {1: 8, 2: 36, 3: 120}
@@ -101,11 +102,11 @@ def test_criterion_4_elimination_tables():
         (4, 5, 7, 9): ELIM_TABLE_4_5_7_9,
     }
     for degrees, grid in expected.items():
-        table = greedy_decompose(koszul_betti(CIType(degrees))).table
+        table = EliminationTable.of(greedy_decompose(koszul_betti(CIType(degrees))))
         got = [line.split() for line in table.grid().splitlines()]
         want = [line.split() for line in grid.splitlines()]
         assert got == want, degrees
-    table = greedy_decompose(koszul_betti(CIType((4, 5, 7, 9)))).table
+    table = EliminationTable.of(greedy_decompose(koszul_betti(CIType((4, 5, 7, 9)))))
     assert table.iterations == 8
     counts = Counter(table.cells.values())
     assert {it for it, c in counts.items() if c > 1} == {1, 2, 6, 7, 8}
@@ -123,7 +124,7 @@ def test_criterion_5_shuffle_golden():
 def test_criterion_6_quotient_golden():
     # The five frozen terms use the sequences forced by exact
     # reconstruction; see reference.QUOTIENT_BASE_2_3_4.
-    base = greedy_decompose(koszul_betti(normalize((2, 3, 4)))).decomposition
+    base = greedy_decompose(koszul_betti(normalize((2, 3, 4))))
     assert base.terms == QUOTIENT_BASE_2_3_4
     dec = quotient_by_regular_element(base, 7)
     assert dec.expand() == koszul_betti(normalize((2, 3, 4, 7)))
@@ -160,15 +161,15 @@ def test_criterion_9_symmetry():
     for n in range(1, 5):
         for degrees in combinations_with_replacement(range(1, 7), n):
             t = CIType(degrees)
-            trace = greedy_decompose(koszul_betti(t))
-            assert verify_symmetric(trace, t.regularity, t.codim), degrees
+            dec = greedy_decompose(koszul_betti(t))
+            assert verify_symmetric(dec, t.regularity, t.codim), degrees
 
 
 @criterion(10, "first-elimination rule agrees with tables; equality branch hit")
 def test_criterion_10_codim4_predicate():
     for degrees in combinations(range(1, 9), 4):
         t = CIType(degrees)
-        table = greedy_decompose(koszul_betti(t)).table
+        table = EliminationTable.of(greedy_decompose(koszul_betti(t)))
         observed = tuple(sorted({i for (i, _), it in table.cells.items() if it == 1}))
         assert first_elimination(t) == observed, degrees
         assert observed in ((1,), (2,), (1, 2)), degrees
@@ -179,7 +180,7 @@ def test_criterion_10_codim4_predicate():
     ]
     assert witnesses, "no equality tuple with d <= 20"
     for t in witnesses:
-        table = greedy_decompose(koszul_betti(t)).table
+        table = EliminationTable.of(greedy_decompose(koszul_betti(t)))
         assert sum(1 for it in table.cells.values() if it == 1) >= 2, t.degrees
 
 
@@ -202,6 +203,6 @@ def test_criterion_12_reconstruction():
         n = rng.randint(1, 5)
         degrees = tuple(sorted(rng.randint(1, 7) for _ in range(n)))
         diagram = koszul_betti(CIType(degrees))
-        trace = greedy_decompose(diagram)
-        assert trace.decomposition.expand() == diagram, degrees
-        assert all(c > 0 for c, _ in trace.decomposition), degrees
+        dec = greedy_decompose(diagram)
+        assert dec.expand() == diagram, degrees
+        assert all(c > 0 for c, _ in dec), degrees

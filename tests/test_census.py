@@ -84,9 +84,18 @@ class TestRunCensus:
         records = [*census_records(4, 10, True), *census_records(5, 6, False)]
         assert len(records) == 210 + 252
         for t, sig in records:
-            decomposition = greedy_decompose(koszul_betti(t)).decomposition
+            decomposition = greedy_decompose(koszul_betti(t))
             assert decomposition.expand() == koszul_betti(t), t.degrees
             assert len(decomposition) == sig.iterations, t.degrees
+
+    def test_bench_census_sizes(self):
+        # The benchmark's census inputs: greedy iterations and input cells
+        # over strict codim 4 with degrees <= 10 and codim 5 with <= 12.
+        types = [*iter_types(4, 10, True), *iter_types(5, 12, True)]
+        assert len(types) == 1002
+        diagrams = [koszul_betti(t) for t in types]
+        assert sum(len(greedy_decompose(a)) for a in diagrams) == 22211
+        assert sum(len(a) for a in diagrams) == 27134
 
     def test_codim5_small(self):
         report = run_census(5, 6, True)

@@ -257,6 +257,13 @@ class TestErrors:
             (["quotient", "--element", "2"], None, "1e100000000\t(0,1)\n"),
             (["quotient", "--element", "2"], None, "0.5\t(0,1)\n"),
             (["quotient", "--element", "2"], None, "2/4\t(0,1)\n"),
+            (["decompose"], "BETTI 1\n0\t0\t1_0\n", None),
+            (["decompose"], "BETTI 1\n0\t0\t +3/ 2\n", None),
+            (["decompose"], "BETTI 1\n0\t0\t\u0663\n", None),
+            (["decompose"], "BETTI 1\n0_0\t0\t1\n", None),
+            (["quotient", "--element", "2"], None, "1_0\t(0,1)\n"),
+            (["quotient", "--element", "2"], None, " +3/ 2\t(0,1)\n"),
+            (["quotient", "--element", "2"], None, "\u0663\t(0,1)\n"),
         ],
     )
     def test_bad_input_is_one_error_line(self, argv, betti, terms, tmp_path, capsys):
@@ -334,11 +341,13 @@ def betti_text(cells):
 DEGREES = mostly(st.lists(st.integers(1, 9), max_size=5).map(joined))
 SEQ = mostly(st.sets(st.integers(-3, 9), min_size=1, max_size=3).map(sorted).map(joined))
 INT = mostly(st.integers(-2, 9).map(str))
-VALUE = mostly(st.sampled_from(["1", "2", "1/2", "3", "-1"]), st.sampled_from(["0", "2/4", "x"]))
+# Tokens that `int()` reads but the value grammar refuses.
+LOOSE = ["1_0", " +3/ 2", "\u0663"]
+VALUE = mostly(st.sampled_from(["1", "2", "1/2", "3", "-1"]), st.sampled_from(["0", "2/4", "x", *LOOSE]))
 CELL = st.tuples(st.integers(0, 3), st.integers(-2, 9))
-BETTI = mostly(st.dictionaries(CELL, VALUE, max_size=6).map(betti_text))
+BETTI = mostly(st.dictionaries(CELL, VALUE, max_size=6).map(betti_text), JUNK | st.just("BETTI 1\n0_0\t0\t1\n"))
 TERMS = st.lists(
-    st.tuples(st.sampled_from(["1", "-2", "1/3", "0", "1/0", "x", "", "0.5", "1e9"]), SEQ),
+    st.tuples(st.sampled_from(["1", "-2", "1/3", "0", "1/0", "x", "", "0.5", "1e9", *LOOSE]), SEQ),
     min_size=1,
     max_size=4,
 ).map(lambda terms: "".join(f"{c}\t({q})\n" for c, q in terms))

@@ -4,6 +4,7 @@ import pytest
 
 from bsdecomp import (
     CIType,
+    EliminationTable,
     closed_form_decomposition,
     first_elimination,
     greedy_decompose,
@@ -14,7 +15,7 @@ from bsdecomp.errors import RequiresStrictDegrees, UnsupportedCodimension
 
 
 def observed_first_columns(degrees):
-    table = greedy_decompose(koszul_betti(CIType(degrees))).table
+    table = EliminationTable.of(greedy_decompose(koszul_betti(CIType(degrees))))
     return tuple(sorted({i for (i, _), it in table.cells.items() if it == 1}))
 
 
@@ -70,7 +71,7 @@ class TestVerifyClosedForm:
             for degrees in combinations_with_replacement(range(1, 11), n):
                 t = CIType(degrees)
                 formula = closed_form_decomposition(t)
-                assert formula == greedy_decompose(koszul_betti(t)).decomposition, degrees
+                assert formula == greedy_decompose(koszul_betti(t)), degrees
 
 
 class TestCodim4Predicate:
@@ -92,7 +93,7 @@ class TestCodim4Predicate:
         assert witnesses, "no equality tuple with d <= 20"
         for degrees in witnesses:
             assert first_elimination(CIType(degrees)) == (1, 2)
-            table = greedy_decompose(koszul_betti(CIType(degrees))).table
+            table = EliminationTable.of(greedy_decompose(koszul_betti(CIType(degrees))))
             assert sum(1 for it in table.cells.values() if it == 1) >= 2
 
     def test_agrees_with_tables_up_to_8(self):
