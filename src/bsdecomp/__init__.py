@@ -40,10 +40,8 @@ from .greedy import (
 from .closed_forms import closed_form_decomposition, first_elimination
 from .shuffle import (
     ci_shuffle_decomposition,
-    prod_of,
     quotient_by_regular_element,
     shuffle_count,
-    shuffle_identity_check,
     shuffle_product,
     shuffles,
     tensor,

@@ -9,7 +9,6 @@ tuples, tallies how often `first_elimination` names the columns of the
 first iteration.
 """
 
-from dataclasses import dataclass, field
 from itertools import combinations, combinations_with_replacement
 from math import comb
 
@@ -18,6 +17,7 @@ from .errors import SizeExceeded
 from .greedy import EliminationTable, greedy_decompose
 from .koszul import CIType, koszul_betti, normalize
 from .pure import format_sequence
+from .record import Record
 
 __all__ = [
     "CENSUS_CAP",
@@ -32,11 +32,13 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class EliminationSignature:
-    """Per-iteration column tuples: step k is iteration k + 1."""
+class EliminationSignature(Record):
+    """Per-iteration column tuples ((columns, ...), ...): step k is iteration k + 1."""
 
-    steps: tuple  # ((columns, ...), ...)
+    __slots__ = ("steps",)
+
+    def __init__(self, steps):
+        object.__setattr__(self, "steps", steps)
 
     @property
     def iterations(self):
@@ -74,18 +76,21 @@ def iter_types(codim, max_degree, strict):
         yield CIType(degrees)
 
 
-@dataclass
-class CensusReport:
-    codim: int
-    max_degree: int
-    strict: bool
-    swept: int = 0
-    signatures: dict = field(default_factory=dict)  # signature -> witness tuples
-    signature_totals: dict = field(default_factory=dict)  # signature -> count
-    no_multiple_signatures: int = 0
-    multiple_tuples: int = 0
-    predicate_checked: int = 0
-    predicate_agreed: int = 0
+class CensusReport(Record):
+    """The tallies of a census sweep; `run_census` fills them in."""
+
+    __slots__ = ("codim", "max_degree", "strict", "swept", "signatures", "signature_totals",
+                 "no_multiple_signatures", "multiple_tuples", "predicate_checked", "predicate_agreed")
+    __setattr__, __delattr__, __hash__ = object.__setattr__, object.__delattr__, None
+
+    def __init__(self, codim, max_degree, strict, swept=0, signatures=None, signature_totals=None,
+                 no_multiple_signatures=0, multiple_tuples=0, predicate_checked=0,
+                 predicate_agreed=0):
+        self.codim, self.max_degree, self.strict, self.swept = codim, max_degree, strict, swept
+        self.signatures = {} if signatures is None else signatures  # signature -> witness tuples
+        self.signature_totals = {} if signature_totals is None else signature_totals  # -> count
+        self.no_multiple_signatures, self.multiple_tuples = no_multiple_signatures, multiple_tuples
+        self.predicate_checked, self.predicate_agreed = predicate_checked, predicate_agreed
 
 
 WITNESS_CAP = 5
@@ -132,14 +137,8 @@ def run_census(codim, max_degree, strict):
 
 def tsv_line(t, sig):
     """One machine-readable line for a swept tuple and its signature."""
-    return "\t".join(
-        [
-            ",".join(str(e) for e in t.degrees),
-            str(sig.iterations),
-            sig.format(),
-            "yes" if sig.has_multiple_elimination() else "no",
-        ]
-    )
+    multiple = "yes" if sig.has_multiple_elimination() else "no"
+    return "\t".join([",".join(map(str, t.degrees)), str(sig.iterations), sig.format(), multiple])
 
 
 def format_report(report):
@@ -157,10 +156,7 @@ def format_report(report):
             f"{report.predicate_agreed}/{report.predicate_checked}"
         )
     lines.append("")
-    ordered = sorted(
-        report.signatures.items(), key=lambda kv: min(kv[1])
-    )
-    for sig, witnesses in ordered:
+    for sig, witnesses in sorted(report.signatures.items(), key=lambda kv: min(kv[1])):
         shown = " ".join(format_sequence(w) for w in witnesses)
         total = report.signature_totals[sig]
         flag = " [multiple]" if sig.has_multiple_elimination() else ""

@@ -11,7 +11,6 @@ import functools
 import sys
 
 from . import census as census_mod
-from . import reference
 from .closed_forms import closed_form_decomposition, first_elimination
 from .diagram import format_betti, format_fraction, parse_betti, parse_fraction
 from .errors import BsdecompError, NotADegreeSequence
@@ -113,8 +112,6 @@ def build_parser():
     p.add_argument("--strict", action="store_true")
     p.add_argument("--format", choices=("text", "tsv"), default="text")
 
-    sub.add_parser("verify-paper", help="run every golden verification check")
-
     return parser
 
 
@@ -155,13 +152,6 @@ def run(args, out):
         else:
             report = census_mod.run_census(args.codim, args.max_degree, args.strict)
             out.write(census_mod.format_report(report) + "\n")
-    elif cmd == "verify-paper":
-        results = reference.run_checks()
-        failed = 0
-        for name, ok in results:
-            out.write(f"{'PASS' if ok else 'FAIL'}  {name}\n")
-            failed += not ok
-        return 1 if failed else 0
     else:  # pragma: no cover - argparse enforces the choices
         raise AssertionError(cmd)
     return 0

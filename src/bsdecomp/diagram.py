@@ -7,6 +7,7 @@ arithmetic is exact; no floats appear anywhere.
 
 import re
 from fractions import Fraction
+from operator import index
 
 from .errors import BettiFormatError
 
@@ -43,8 +44,7 @@ class Diagram:
         items = entries.items() if isinstance(entries, (dict, Diagram)) else entries
         acc = {}
         for (i, j), value in items:
-            i = int(i)
-            j = int(j)
+            i, j = index(i), index(j)
             if i < 0:
                 raise ValueError(f"homological index must be >= 0, got {i}")
             value = _as_fraction(value)

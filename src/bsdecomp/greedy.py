@@ -16,13 +16,13 @@ M and R is divided out after the step.  Each term builds one Fraction;
 no cell does.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
 from .diagram import Diagram, render_grid
 from .errors import EmptyColumn, NotADegreeSequence, NotInCone
 from .pure import PureSum, _denominators, min_degree_sequence
+from .record import Record
 
 __all__ = [
     "EliminationTable",
@@ -31,12 +31,14 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class EliminationTable:
+class EliminationTable(Record):
     """Map (i, j) -> iteration at which the entry became zero."""
 
-    cells: dict
-    iterations: int
+    __slots__ = ("cells", "iterations")
+
+    def __init__(self, cells, iterations):
+        object.__setattr__(self, "cells", cells)
+        object.__setattr__(self, "iterations", iterations)
 
     @classmethod
     def of(cls, decomposition):

@@ -6,26 +6,26 @@ determined by subset sums: entry (i, j) counts the i-element subsets of
 the degrees summing to j.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
+from operator import index
 
 from .diagram import Diagram
 from .errors import NonPositiveDegree, NotWeaklyIncreasing, SizeExceeded
+from .record import Record
 
 __all__ = ["CIType", "normalize", "koszul_betti"]
 
 KOSZUL_CELL_CAP = 10**5
 
 
-@dataclass(frozen=True)
-class CIType:
+class CIType(Record):
     """Type of a complete intersection: weakly increasing generator degrees."""
 
-    degrees: tuple
+    __slots__ = ("degrees",)
 
-    def __post_init__(self):
-        degrees = tuple(int(e) for e in self.degrees)
+    def __init__(self, degrees):
+        degrees = tuple(map(index, degrees))
         if any(e < 1 for e in degrees):
             raise NonPositiveDegree(f"degrees must be >= 1, got {degrees}")
         if any(a > b for a, b in zip(degrees, degrees[1:])):
@@ -51,7 +51,7 @@ def normalize(degrees):
     """Sort degrees weakly increasing and wrap in a CIType; a CIType is returned as is."""
     if isinstance(degrees, CIType):
         return degrees
-    degrees = tuple(int(e) for e in degrees)
+    degrees = tuple(map(index, degrees))
     if any(e < 1 for e in degrees):
         raise NonPositiveDegree(f"degrees must be >= 1, got {degrees}")
     return CIType(tuple(sorted(degrees)))

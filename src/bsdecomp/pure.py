@@ -7,12 +7,13 @@ into its tuple of positive gaps.  A formal sum of pure diagrams is a
 PureSum.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
+from operator import index
 
 from .diagram import Diagram
 from .errors import EmptyColumn, LengthMismatch, NotADegreeSequence
+from .record import Record
 
 __all__ = [
     "PureSum",
@@ -26,8 +27,8 @@ __all__ = [
 
 
 def check_degree_sequence(d):
-    """Validate and normalize to a tuple of ints; must be strictly increasing."""
-    return _increasing(tuple(int(x) for x in d))
+    """Validate as a tuple of ints; must be strictly increasing."""
+    return _increasing(tuple(map(index, d)))
 
 
 def _increasing(d):
@@ -56,15 +57,17 @@ def pure(d):
     })
 
 
-@dataclass(frozen=True)
-class PureSum:
+class PureSum(Record):
     """Terms (coefficient, degree sequence) of a formal sum of pure diagrams.
 
     The degree sequences need not be totally ordered; those of a greedy
     chain decomposition happen to be.
     """
 
-    terms: tuple
+    __slots__ = ("terms",)
+
+    def __init__(self, terms):
+        object.__setattr__(self, "terms", terms)
 
     def __iter__(self):
         return iter(self.terms)

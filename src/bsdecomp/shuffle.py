@@ -10,6 +10,7 @@ other than shuffle multiplicities appear with this normalization.
 from fractions import Fraction
 from itertools import accumulate
 from math import factorial, prod
+from operator import index
 
 from .diagram import Diagram
 from .errors import SizeExceeded
@@ -22,11 +23,9 @@ __all__ = [
     "tensor",
     "shuffles",
     "shuffle_count",
-    "prod_of",
     "shuffle_product",
     "quotient_by_regular_element",
     "ci_shuffle_decomposition",
-    "shuffle_identity_check",
 ]
 
 SHUFFLE_CAP = 10**6
@@ -87,16 +86,6 @@ def _interleavings(sets):
         labels[i + 1:] = labels[:i:-1]
 
 
-def prod_of(s):
-    """Product of the running partial sums s_1 (s_1+s_2) ... (s_1+...+s_r)."""
-    total = 0
-    result = 1
-    for x in s:
-        total += x
-        result *= total
-    return Fraction(result)
-
-
 def _product_sequences(ds):
     """The multiplication law: the partial sums, from the summed starting
     degrees, of each shuffle of the factors' (positive) first differences."""
@@ -124,7 +113,7 @@ def quotient_by_regular_element(dec, e):
     That is the product with the element's Koszul diagram e * pi(0, e):
     each term (a, d) becomes e * a times the shuffle product of d and (0, e).
     """
-    e = int(e)
+    e = index(e)
     if e < 1:
         raise ValueError(f"element degree must be >= 1, got {e}")
     return PureSum.merged(
@@ -147,12 +136,3 @@ def ci_shuffle_decomposition(t):
         (mult, p) for p in _product_sequences([(0, e) for e in t.degrees])
     )
 
-
-def shuffle_identity_check(sets):
-    """Sum over shuffles of prod(Prod(A_i)) / Prod(sigma); always 1."""
-    sets = [tuple(s) for s in sets]
-    numerator = prod(prod_of(s) for s in sets)
-    return sum(
-        (numerator / prod_of(s) for s in shuffles(sets)),
-        Fraction(0),
-    )

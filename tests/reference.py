@@ -1,34 +1,27 @@
 """Known decompositions and elimination tables for specific complete
-intersections, used by the `verify-paper` command and the test suite as
-end-to-end golden values.
+intersections, as printed in the paper, and the checks of the package
+against them.  `test_reference.py` runs every check; other tests import
+the values.
 """
 
 from fractions import Fraction
+from math import prod
 
-from .closed_forms import closed_form_decomposition
-from .diagram import Diagram
-from .greedy import EliminationTable, greedy_decompose, verify_symmetric
-from .koszul import CIType, koszul_betti
-from .pure import pure
-from .shuffle import (
+from bsdecomp import (
+    CIType,
+    Diagram,
+    EliminationTable,
     ci_shuffle_decomposition,
+    closed_form_decomposition,
+    greedy_decompose,
+    koszul_betti,
+    pure,
     quotient_by_regular_element,
-    shuffle_identity_check,
     shuffle_product,
+    shuffles,
     tensor,
+    verify_symmetric,
 )
-
-__all__ = [
-    "DECOMP_1_2_4_8",
-    "ELIM_TABLE_3_4_5_7",
-    "ELIM_TABLE_1_2_4_8",
-    "ELIM_TABLE_4_5_7_9",
-    "SHUFFLE_0_3_5__0_1_6",
-    "QUOTIENT_BASE_2_3_4",
-    "QUOTIENT_2_3_4_BY_7",
-    "CLOSED_FORM_2_3_7",
-    "run_checks",
-]
 
 # Greedy chain decomposition of the complete intersection of type (1,2,4,8).
 DECOMP_1_2_4_8 = (
@@ -144,6 +137,26 @@ CLOSED_FORM_2_3_7 = (
 )
 
 
+def prod_of(s):
+    """Product of the running partial sums s_1 (s_1+s_2) ... (s_1+...+s_r)."""
+    total = 0
+    result = 1
+    for x in s:
+        total += x
+        result *= total
+    return Fraction(result)
+
+
+def shuffle_identity_check(sets):
+    """Sum over shuffles of prod(Prod(A_i)) / Prod(sigma); always 1."""
+    sets = [tuple(s) for s in sets]
+    numerator = prod(prod_of(s) for s in sets)
+    return sum(
+        (numerator / prod_of(s) for s in shuffles(sets)),
+        Fraction(0),
+    )
+
+
 def _grid_cells(text):
     return [line.split() for line in text.splitlines()]
 
@@ -228,7 +241,3 @@ CHECKS = (
     ("normalized pure diagram on (0,2,3,4)", _check_pure_example),
 )
 
-
-def run_checks():
-    """Run every golden check; returns a list of (name, passed)."""
-    return [(name, bool(fn())) for name, fn in CHECKS]

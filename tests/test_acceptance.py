@@ -19,14 +19,13 @@ from bsdecomp import (
     normalize,
     pure,
     quotient_by_regular_element,
-    shuffle_identity_check,
     shuffle_product,
     tensor,
     verify_symmetric,
 )
 from bsdecomp.census import run_census
 from bsdecomp.cli import build_parser, run as cli_run
-from bsdecomp.reference import (
+from reference import (
     DECOMP_1_2_4_8,
     ELIM_TABLE_1_2_4_8,
     ELIM_TABLE_3_4_5_7,
@@ -34,6 +33,7 @@ from bsdecomp.reference import (
     QUOTIENT_2_3_4_BY_7,
     QUOTIENT_BASE_2_3_4,
     SHUFFLE_0_3_5__0_1_6,
+    shuffle_identity_check,
 )
 
 

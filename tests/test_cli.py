@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from bsdecomp.cli import build_parser, main, run
 from bsdecomp.closed_forms import first_elimination
-from bsdecomp.reference import ELIM_TABLE_1_2_4_8
+from reference import ELIM_TABLE_1_2_4_8
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -206,10 +206,12 @@ class TestOtherCommands:
         assert code == 1
         assert capsys.readouterr() == ("", "SizeExceeded: 1749060 tuples exceed the cap of 100000\n")
 
-    def test_verify_paper(self):
-        code, text = invoke(["verify-paper"])
-        assert code == 0
-        assert "FAIL" not in text
+    def test_verify_paper_is_gone(self, capsys):
+        # The paper checks are tests now (test_reference.py).
+        with pytest.raises(SystemExit) as exc:
+            main(["verify-paper"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'verify-paper'" in capsys.readouterr().err
 
 
 def test_readme_lists_only_parser_flags():
@@ -353,7 +355,7 @@ TERMS = st.lists(
 ).map(lambda terms: "".join(f"{c}\t({q})\n" for c, q in terms))
 COMMANDS = (
     "ci-betti", "decompose", "elim-table", "closed-form", "predict-first-elim",
-    "shuffle", "ci-shuffle", "tensor", "quotient", "census", "verify-paper",
+    "shuffle", "ci-shuffle", "tensor", "quotient", "census",
 )
 
 

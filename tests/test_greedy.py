@@ -21,7 +21,7 @@ from bsdecomp import (
     pure,
     verify_symmetric,
 )
-from bsdecomp.reference import (
+from reference import (
     DECOMP_1_2_4_8,
     ELIM_TABLE_1_2_4_8,
     ELIM_TABLE_3_4_5_7,

@@ -14,21 +14,21 @@ from bsdecomp import (
     ci_shuffle_decomposition,
     koszul_betti,
     normalize,
-    prod_of,
     pure,
     quotient_by_regular_element,
     shuffle_count,
-    shuffle_identity_check,
     shuffle_product,
     shuffles,
     tensor,
 )
 from bsdecomp.errors import LengthMismatch
 from bsdecomp.shuffle import SHUFFLE_CAP, TENSOR_CAP
-from bsdecomp.reference import (
+from reference import (
     QUOTIENT_2_3_4_BY_7,
     QUOTIENT_BASE_2_3_4,
     SHUFFLE_0_3_5__0_1_6,
+    prod_of,
+    shuffle_identity_check,
 )
 
 from conftest import koszul_by_enumeration
