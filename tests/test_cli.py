@@ -1,6 +1,8 @@
 import argparse
 import io
+import os
 import re
+import subprocess
 import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
@@ -212,6 +214,21 @@ class TestOtherCommands:
             main(["verify-paper"])
         assert exc.value.code == 2
         assert "invalid choice: 'verify-paper'" in capsys.readouterr().err
+
+
+def test_cli_import_is_lean():
+    # A CLI start compiles every module it imports; none of these serves a command.
+    script = (
+        "import sys; before = set(sys.modules); import bsdecomp.cli; "
+        "print(' '.join(sorted(set(sys.modules) - before)))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parent.parent / "src")}
+    loaded = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+    ).stdout.split()
+    assert "bsdecomp.cli" in loaded
+    assert not {"dataclasses", "inspect", "ast", "dis", "tokenize"} & set(loaded), loaded
+    assert not any(name.startswith("bsdecomp.reference") for name in loaded)
 
 
 def test_readme_lists_only_parser_flags():

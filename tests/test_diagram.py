@@ -23,6 +23,16 @@ diagrams = entries_strategy.map(Diagram)
 
 
 class TestAlgebra:
+    @pytest.mark.parametrize("cell", [(0, 0.5), (0.0, 1), (Fraction(1), 2)])
+    def test_rejects_non_integer_cells(self, cell):
+        # (0, 0.5) is not truncated to (0, 0).
+        with pytest.raises(TypeError):
+            Diagram({cell: 1})
+
+    def test_accepts_bool_cells(self):
+        assert Diagram({(True, False): 1}) == Diagram({(1, 0): 1})
+        assert list(Diagram({(True, False): 1})) == [(1, 0)]
+
     def test_add_identity(self, sample_diagram):
         assert sample_diagram + ZERO == sample_diagram
 

@@ -1,3 +1,4 @@
+from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import comb
 
@@ -30,6 +31,20 @@ class TestCIType:
     def test_rejects_unsorted_direct(self):
         with pytest.raises(NotWeaklyIncreasing):
             CIType((2, 1))
+
+    @pytest.mark.parametrize("degrees", [(2.5, 3), (2, 3.0), (Fraction(7, 2),), (Fraction(4),)])
+    def test_rejects_non_integers(self, degrees):
+        # Degrees are not truncated: (2.5, 3) is not the type (2, 3).
+        with pytest.raises(TypeError):
+            CIType(degrees)
+        with pytest.raises(TypeError):
+            normalize(degrees)
+        with pytest.raises(TypeError):
+            koszul_betti(degrees)
+
+    def test_accepts_bools_and_ints(self):
+        assert normalize([2, True]) == CIType((1, 2))
+        assert repr(normalize([2, True])) == "CIType(degrees=(1, 2))"
 
     def test_derived_quantities(self):
         t = normalize((1, 2, 4, 8))

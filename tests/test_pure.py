@@ -9,6 +9,7 @@ from bsdecomp import (
     Diagram,
     EmptyColumn,
     NotADegreeSequence,
+    check_degree_sequence,
     delta,
     min_degree_sequence,
     pure,
@@ -42,6 +43,18 @@ class TestPure:
     def test_rejects_non_increasing(self):
         with pytest.raises(NotADegreeSequence):
             pure((0, 0, 1))
+
+    @pytest.mark.parametrize("d", [(0, 1.5), (0, 1.0), (0, Fraction(3, 2)), (0, "1")])
+    def test_rejects_non_integers(self, d):
+        # (0, 1.5) is not truncated to (0, 1).
+        with pytest.raises(TypeError):
+            pure(d)
+        with pytest.raises(TypeError):
+            check_degree_sequence(d)
+
+    def test_accepts_bools(self):
+        assert check_degree_sequence((False, True, 2)) == (0, 1, 2)
+        assert format_sequence(check_degree_sequence((False, True))) == "(0,1)"
 
     @given(degree_sequences)
     def test_one_positive_entry_per_column(self, d):

@@ -181,6 +181,15 @@ class TestQuotient:
         with pytest.raises(ValueError):
             quotient_by_regular_element([(1, (0, 1))], 0)
 
+    @pytest.mark.parametrize("e", [2.9, 2.0, Fraction(5, 2)])
+    def test_rejects_non_integer_degree(self, e):
+        # A degree of 2.9 is not truncated to 2.
+        with pytest.raises(TypeError):
+            quotient_by_regular_element([(1, (0, 1))], e)
+
+    def test_accepts_bool_degree(self):
+        assert quotient_by_regular_element([(1, (0,))], True).terms == ((1, (0, 1)),)
+
     def test_oracle_tensor_with_koszul(self):
         # Quotienting multiplies the diagram by that of the element, e * pi(0, e).
         rng = random.Random(3)
