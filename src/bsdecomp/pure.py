@@ -27,7 +27,7 @@ __all__ = [
 
 
 def check_degree_sequence(d):
-    """Validate as a tuple of ints; must be strictly increasing."""
+    """Validate and normalize to a tuple of ints; must be strictly increasing."""
     return _increasing(tuple(map(index, d)))
 
 
