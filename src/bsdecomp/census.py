@@ -13,11 +13,11 @@ from itertools import combinations, combinations_with_replacement
 from math import comb
 
 from .closed_forms import first_elimination
+from .diagram import Record
 from .errors import SizeExceeded
 from .greedy import EliminationTable, greedy_decompose
 from .koszul import CIType, koszul_betti, normalize
 from .pure import format_sequence
-from .record import Record
 
 __all__ = [
     "CENSUS_CAP",
@@ -137,8 +137,14 @@ def run_census(codim, max_degree, strict):
 
 def tsv_line(t, sig):
     """One machine-readable line for a swept tuple and its signature."""
-    multiple = "yes" if sig.has_multiple_elimination() else "no"
-    return "\t".join([",".join(map(str, t.degrees)), str(sig.iterations), sig.format(), multiple])
+    return "\t".join(
+        [
+            ",".join(str(e) for e in t.degrees),
+            str(sig.iterations),
+            sig.format(),
+            "yes" if sig.has_multiple_elimination() else "no",
+        ]
+    )
 
 
 def format_report(report):
@@ -156,7 +162,10 @@ def format_report(report):
             f"{report.predicate_agreed}/{report.predicate_checked}"
         )
     lines.append("")
-    for sig, witnesses in sorted(report.signatures.items(), key=lambda kv: min(kv[1])):
+    ordered = sorted(
+        report.signatures.items(), key=lambda kv: min(kv[1])
+    )
+    for sig, witnesses in ordered:
         shown = " ".join(format_sequence(w) for w in witnesses)
         total = report.signature_totals[sig]
         flag = " [multiple]" if sig.has_multiple_elimination() else ""

@@ -2,12 +2,13 @@
 
 A diagram is a finitely supported map (i, j) -> Q with i >= 0 and j any
 integer.  Zero entries are never stored, so equality is structural.  All
-arithmetic is exact; no floats appear anywhere.
+arithmetic is exact; no floats appear anywhere.  `Record` is the base of
+the package's other value classes.
 """
 
 import re
 from fractions import Fraction
-from operator import index
+from operator import attrgetter, index
 
 from .errors import BettiFormatError
 
@@ -126,6 +127,36 @@ class Diagram:
 
 
 ZERO = Diagram()
+
+
+class Record:
+    """A value whose fields are its `__slots__`, compared, hashed and shown
+    in that order, and set once, in `__init__`.  A mutable subclass restores
+    object's `__setattr__` and `__delattr__` and sets `__hash__` to None.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        cls._values = attrgetter(*cls.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values(self) == other._values(other)
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 def format_fraction(q):

@@ -19,10 +19,9 @@ no cell does.
 from fractions import Fraction
 from math import gcd, lcm
 
-from .diagram import Diagram, render_grid
+from .diagram import Diagram, Record, render_grid
 from .errors import EmptyColumn, NotADegreeSequence, NotInCone
 from .pure import PureSum, _denominators, min_degree_sequence
-from .record import Record
 
 __all__ = [
     "EliminationTable",

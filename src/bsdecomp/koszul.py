@@ -10,9 +10,8 @@ from fractions import Fraction
 from math import prod
 from operator import index
 
-from .diagram import Diagram
+from .diagram import Diagram, Record
 from .errors import NonPositiveDegree, NotWeaklyIncreasing, SizeExceeded
-from .record import Record
 
 __all__ = ["CIType", "normalize", "koszul_betti"]
 

@@ -11,9 +11,8 @@ from fractions import Fraction
 from math import prod
 from operator import index
 
-from .diagram import Diagram
+from .diagram import Diagram, Record
 from .errors import EmptyColumn, LengthMismatch, NotADegreeSequence
-from .record import Record
 
 __all__ = [
     "PureSum",
