@@ -2,8 +2,7 @@
 
 A diagram is a finitely supported map (i, j) -> Q with i >= 0 and j any
 integer.  Zero entries are never stored, so equality is structural.  All
-arithmetic is exact; no floats appear anywhere.  `Record` is the base of
-the package's other value classes.
+arithmetic is exact; no floats appear anywhere.
 """
 
 import re
@@ -130,10 +129,9 @@ ZERO = Diagram()
 
 
 class Record:
-    """A value whose fields are its `__slots__`, compared, hashed and shown
-    in that order, and set once, in `__init__`.  A mutable subclass restores
-    object's `__setattr__` and `__delattr__` and sets `__hash__` to None.
-    """
+    """Base of the package's value classes: the fields are the `__slots__`,
+    compared, hashed and shown in order, and set once, in `__init__`.  A mutable
+    subclass takes object's `__setattr__` and `__delattr__`, and no `__hash__`."""
 
     __slots__ = ()
 
@@ -151,6 +149,9 @@ class Record:
     def __repr__(self):
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
         return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):  # pickle and copy call the constructor
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")

@@ -1,6 +1,8 @@
 """Value semantics of the package's record classes: equality, hashing,
 repr text and immutability, as callers see them."""
 
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -88,6 +90,18 @@ class TestRepr:
             "signature_totals={}, no_multiple_signatures=0, multiple_tuples=0, "
             "predicate_checked=0, predicate_agreed=0)"
         )
+
+
+class TestCopy:
+    def test_pickle_and_copy(self):
+        report = run_census(4, 6, True)
+        for record in [r for r, _ in frozen_records()] + [report]:
+            assert pickle.loads(pickle.dumps(record)) == record
+            assert copy.copy(record) == record
+            assert copy.deepcopy(record) == record
+        clone = copy.deepcopy(report)
+        clone.signatures.clear()
+        assert report.signatures
 
 
 class TestMutability:
