@@ -40,6 +40,7 @@ from .greedy import (
 from .closed_forms import closed_form_decomposition, first_elimination
 from .shuffle import (
     ci_shuffle_decomposition,
+    multiply,
     quotient_by_regular_element,
     shuffle_count,
     shuffle_product,

@@ -11,7 +11,7 @@ from fractions import Fraction
 from math import prod
 from operator import index
 
-from .diagram import Diagram, Record
+from .diagram import Diagram, Record, _as_fraction
 from .errors import EmptyColumn, LengthMismatch, NotADegreeSequence
 
 __all__ = [
@@ -76,11 +76,12 @@ class PureSum(Record):
 
     @classmethod
     def merged(cls, pairs):
-        """Sum equal sequences' coefficients in first-seen order; drop zero totals."""
+        """Sum equal sequences' coefficients in first-seen order, then make one
+        Fraction per sequence (floats are refused); drop zero totals."""
         acc = {}
         for coeff, d in pairs:
-            acc[d] = acc.get(d, 0) + Fraction(coeff)
-        return cls(tuple((c, d) for d, c in acc.items() if c != 0))
+            acc[d] = acc.get(d, 0) + coeff
+        return cls(tuple((q, d) for d, c in acc.items() if (q := _as_fraction(c)) != 0))
 
     def expand(self):
         """Sum of coeff * pure(d) over the terms."""

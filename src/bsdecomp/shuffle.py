@@ -1,21 +1,21 @@
-"""Tensor products of diagrams and shuffle expansions of products of
-pure diagrams.
+"""Tensor products of diagrams and the multiplication law on formal sums
+of pure diagrams.
 
 The tensor product of two diagrams is bidegree convolution.  A product
 of pure diagrams expands into a sum of pure diagrams indexed by the
-shuffles of the factors' first-difference sequences; no coefficients
-other than shuffle multiplicities appear with this normalization.
+shuffles of the factors' first-difference sequences; `multiply` extends
+this bilinearly to products of formal sums.
 """
 
-from fractions import Fraction
-from itertools import accumulate
+from collections import Counter
+from itertools import accumulate, product
 from math import factorial, prod
-from operator import index
+from operator import index, sub
 
 from .diagram import Diagram
 from .errors import SizeExceeded
 from .koszul import normalize
-from .pure import PureSum, check_degree_sequence, delta
+from .pure import PureSum, check_degree_sequence
 
 __all__ = [
     "SHUFFLE_CAP",
@@ -23,6 +23,7 @@ __all__ = [
     "tensor",
     "shuffles",
     "shuffle_count",
+    "multiply",
     "shuffle_product",
     "quotient_by_regular_element",
     "ci_shuffle_decomposition",
@@ -86,53 +87,50 @@ def _interleavings(sets):
         labels[i + 1:] = labels[:i:-1]
 
 
-def _product_sequences(ds):
-    """The multiplication law: the partial sums, from the summed starting
-    degrees, of each shuffle of the factors' (positive) first differences."""
-    ds = [check_degree_sequence(d) for d in ds]
-    start = sum(d[0] for d in ds)
-    for s in shuffles([delta(d) for d in ds]):
-        yield tuple(accumulate(s, initial=start))
+def multiply(factors):
+    """The multiplication law on formal sums of pure diagrams, each factor a
+    PureSum or an iterable of (coefficient, degree sequence) terms.  Each
+    choice of one term per factor, in itertools.product order, gives
+    prod(a_k) times one pure diagram per shuffle of the factors' gaps, on
+    partial sums from sum(d_k[0]).  The interleavings of all choices are
+    counted against the cap first.  The empty product is the unit pi(0)."""
+    factors = [[(coeff, check_degree_sequence(d)) for coeff, d in f] for f in factors]
+    # Terms of equal length share a multinomial: count per tuple of such groups.
+    lengths = [Counter(len(d) for _, d in f).items() for f in factors]
+    count = 0
+    for choice in product(*lengths):
+        count += prod(n for _, n in choice) * shuffle_count([k - 1 for k, _ in choice])
+        if count > SHUFFLE_CAP:
+            raise SizeExceeded(f"{count} shuffles exceed the cap of {SHUFFLE_CAP}")
+
+    def products():
+        for choice in product(*factors):
+            coeff = prod(a for a, _ in choice)
+            start = sum(d[0] for _, d in choice)
+            for s in shuffles([tuple(map(sub, d[1:], d)) for _, d in choice]):
+                yield coeff, tuple(accumulate(s, initial=start))
+
+    return PureSum.merged(products())
 
 
 def shuffle_product(ds):
-    """Expand a product of pure diagrams as a merged sum of pure diagrams.
-
-    Each shuffle contributes its pure diagram with coefficient 1;
-    merging counts coincidences.
-    """
+    """A product of pure diagrams as a merged sum of pure diagrams."""
     ds = list(ds)
     if not ds:
         raise ValueError("need at least one degree sequence")
-    return PureSum.merged((1, p) for p in _product_sequences(ds))
+    return multiply([[(1, d)] for d in ds])
 
 
 def quotient_by_regular_element(dec, e):
-    """Decomposition after quotienting by a regular element of degree e.
-
-    That is the product with the element's Koszul diagram e * pi(0, e):
-    each term (a, d) becomes e * a times the shuffle product of d and (0, e).
-    """
+    """Decomposition times the Koszul diagram e * pi(0, e) of a regular element."""
     e = index(e)
     if e < 1:
         raise ValueError(f"element degree must be >= 1, got {e}")
-    return PureSum.merged(
-        (e * Fraction(coeff), p)
-        for coeff, d in dec
-        for p in _product_sequences([d, (0, e)])
-    )
+    return multiply([dec, [(e, (0, e))]])
 
 
 def ci_shuffle_decomposition(t):
-    """Order-free decomposition of a complete intersection's diagram.
-
-    The product of the generators' Koszul diagrams e_i * pi(0, e_i):
-    prod(e_i) times one pure diagram per ordering of the degrees, on
-    their partial sums.  Value-equal orderings merge.
-    """
-    t = normalize(t)
-    mult = t.multiplicity
-    return PureSum.merged(
-        (mult, p) for p in _product_sequences([(0, e) for e in t.degrees])
-    )
-
+    """Order-free decomposition of a complete intersection's diagram: the product
+    of the generators' Koszul diagrams e_i * pi(0, e_i), that is prod(e_i) times
+    one pure diagram per ordering of the degrees, on their partial sums."""
+    return multiply([[(e, (0, e))] for e in normalize(t).degrees])

@@ -1,7 +1,8 @@
 import random
+import time
 import tracemalloc
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations_with_replacement, permutations
 from math import comb
 
 import pytest
@@ -12,7 +13,9 @@ from bsdecomp import (
     PureSum,
     SizeExceeded,
     ci_shuffle_decomposition,
+    greedy_decompose,
     koszul_betti,
+    multiply,
     normalize,
     pure,
     quotient_by_regular_element,
@@ -21,7 +24,7 @@ from bsdecomp import (
     shuffles,
     tensor,
 )
-from bsdecomp.errors import LengthMismatch
+from bsdecomp.errors import LengthMismatch, NotADegreeSequence
 from bsdecomp.shuffle import SHUFFLE_CAP, TENSOR_CAP
 from reference import (
     QUOTIENT_2_3_4_BY_7,
@@ -190,6 +193,18 @@ class TestQuotient:
     def test_accepts_bool_degree(self):
         assert quotient_by_regular_element([(1, (0,))], True).terms == ((1, (0, 1)),)
 
+    def test_rejects_float_coefficient(self):
+        # 0.1 is not read as its binary value 3602879701896397/2**55.
+        with pytest.raises(TypeError, match="^floating-point entries are not allowed$"):
+            quotient_by_regular_element([(0.1, (0, 1))], 2)
+
+    def test_cap_counts_all_terms(self):
+        # 1,001 terms of 1,000 interleavings each: refused as one product,
+        # though each term alone is under the cap.
+        d = tuple(range(1000))
+        with pytest.raises(SizeExceeded, match="^1001000 shuffles exceed the cap of 1000000$"):
+            quotient_by_regular_element([(1, d)] * 1001, 1)
+
     def test_oracle_tensor_with_koszul(self):
         # Quotienting multiplies the diagram by that of the element, e * pi(0, e).
         rng = random.Random(3)
@@ -238,6 +253,79 @@ class TestCIShuffle:
                     assert all(c == t.multiplicity for c, _ in dec)
 
 
+TYPES_1_2 = [t for n in (1, 2) for t in combinations_with_replacement(range(1, 5), n)]
+
+
+class TestMultiply:
+    def test_empty_product_is_unit(self):
+        assert multiply([]).terms == ((1, (0,)),)
+
+    def test_unit_factor(self):
+        for t in TYPES_1_2:
+            dec = greedy_decompose(koszul_betti(t))
+            assert multiply([dec, [(1, (0,))]]) == dec, t
+            assert multiply([[(1, (0,))], dec]) == dec, t
+
+    def test_order_of_two_term_sums(self):
+        # Choices in itertools.product order, each choice's shuffles in
+        # lexicographic order; (1, 2, 3) arises twice from the first.
+        a = [(2, (0, 1)), (3, (0, 2))]
+        b = [(5, (1, 2)), (7, (0, 3))]
+        dec = multiply([a, b])
+        assert dec.terms == (
+            (20, (1, 2, 3)),
+            (14, (0, 1, 4)),
+            (14, (0, 3, 4)),
+            (15, (1, 3, 4)),
+            (15, (1, 2, 4)),
+            (21, (0, 2, 5)),
+            (21, (0, 3, 5)),
+        )
+        assert dec.expand() == tensor(PureSum(tuple(a)).expand(), PureSum(tuple(b)).expand())
+
+    def test_law_on_greedy_decompositions(self):
+        # The product of two decompositions expands to the tensor product
+        # of the diagrams, for every pair of types of codim 1-2, degrees <= 4.
+        decs = {t: greedy_decompose(koszul_betti(t)) for t in TYPES_1_2}
+        for t1 in TYPES_1_2:
+            for t2 in TYPES_1_2:
+                got = multiply([decs[t1], decs[t2]]).expand()
+                assert got == tensor(koszul_betti(t1), koszul_betti(t2)), (t1, t2)
+
+    def test_law_on_ci_decompositions(self):
+        # The order-free decomposition of t1 + t2 is the product of those of t1 and t2.
+        for t1 in TYPES_1_2:
+            for t2 in TYPES_1_2:
+                got = multiply([ci_shuffle_decomposition(t1), ci_shuffle_decomposition(t2)])
+                want = ci_shuffle_decomposition(t1 + t2)
+                assert {d: c for c, d in got} == {d: c for c, d in want}, (t1, t2)
+
+    def test_cap_counts_all_choices_without_building_them(self):
+        # 1,001 x 1,000 one-cell terms: 1,001,000 choices of one interleaving each.
+        factors = [[(1, (k,)) for k in range(1001)], [(1, (k,)) for k in range(1000)]]
+        message = "^1001000 shuffles exceed the cap of 1000000$"
+        start = time.perf_counter()
+        with pytest.raises(SizeExceeded, match=message):
+            multiply(factors)
+        assert time.perf_counter() - start < 0.5
+        tracemalloc.start()
+        try:
+            with pytest.raises(SizeExceeded, match=message):
+                multiply(factors)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
+
+    def test_validates_terms(self):
+        with pytest.raises(NotADegreeSequence):
+            multiply([[(1, (0, 1))], [(1, (2, 1))]])
+
+    def test_rejects_float_coefficient(self):
+        with pytest.raises(TypeError, match="^floating-point entries are not allowed$"):
+            multiply([[(Fraction(1, 2), (0, 1))], [(0.5, (0, 2))]])
+
+
 class TestExpandPureSum:
     def test_single_term(self):
         assert PureSum(((1, (0, 2, 3)),)).expand() == pure((0, 2, 3))
@@ -260,6 +348,27 @@ class TestMergePureSum:
     def test_drops_zero_totals(self):
         merged = PureSum.merged([(1, (0, 1)), (0, (0, 4)), (2, (0, 2)), (-1, (0, 1))])
         assert merged.terms == ((2, (0, 2)),)
+
+    def test_coefficients_are_fractions(self):
+        merged = PureSum.merged([(1, (0, 1)), (2, (0, 1)), (True, (0, 2))])
+        assert [type(c) for c, _ in merged] == [Fraction, Fraction]
+        assert merged.terms == ((3, (0, 1)), (1, (0, 2)))
+
+    @pytest.mark.parametrize(
+        "pairs",
+        [
+            [(0.1, (0, 1))],
+            [(Fraction(1, 2), (0, 1)), (0.5, (0, 1))],
+            [(0.5, (0, 1)), (-0.5, (0, 1))],  # a float total of zero too
+        ],
+    )
+    def test_rejects_floats(self, pairs):
+        with pytest.raises(TypeError, match="^floating-point entries are not allowed$"):
+            PureSum.merged(pairs)
+
+    def test_rejects_strings(self):
+        with pytest.raises(TypeError):
+            PureSum.merged([("1/2", (0, 1))])
 
 
 class TestShuffleIdentity:
