@@ -2,7 +2,6 @@
 
 from .diagram import (
     Diagram,
-    ZERO,
     format_betti,
     format_fraction,
     parse_betti,
@@ -25,18 +24,13 @@ from .errors import (
 from .pure import (
     PureSum,
     check_degree_sequence,
-    delta,
     format_sequence,
     min_degree_sequence,
     parse_sequence,
     pure,
 )
 from .koszul import CIType, koszul_betti, normalize
-from .greedy import (
-    EliminationTable,
-    greedy_decompose,
-    verify_symmetric,
-)
+from .greedy import EliminationTable, greedy_decompose
 from .closed_forms import closed_form_decomposition, first_elimination
 from .shuffle import (
     ci_shuffle_decomposition,

@@ -15,7 +15,7 @@ from math import comb
 from .closed_forms import first_elimination
 from .diagram import Record
 from .errors import SizeExceeded
-from .greedy import EliminationTable, greedy_decompose
+from .greedy import greedy_decompose
 from .koszul import CIType, koszul_betti, normalize
 from .pure import format_sequence
 
@@ -58,15 +58,15 @@ class EliminationSignature(Record):
 
 
 def signature_of(t):
-    """Elimination signature of the Koszul diagram of type t."""
+    """Elimination signature of the Koszul diagram of type t, read off its
+    chain: step k clears the columns where d_k and d_{k+1} differ, and the
+    last step clears them all, of which 1..codim-1 are kept."""
     t = normalize(t)
-    table = EliminationTable.of(greedy_decompose(koszul_betti(t)))
-    # Every iteration clears the cell attaining its coefficient.
-    steps = [set() for _ in range(table.iterations)]
-    for (i, _), it in table.cells.items():
-        steps[it - 1].add(i)
-    steps[-1] -= {0, t.codim}
-    return EliminationSignature(steps=tuple(tuple(sorted(cols)) for cols in steps))
+    seqs = [d for _, d in greedy_decompose(koszul_betti(t))]
+    steps = [tuple(i for i, (a, b) in enumerate(zip(d, after)) if a != b)
+             for d, after in zip(seqs, seqs[1:])]
+    steps.append(tuple(range(1, t.codim)))
+    return EliminationSignature(steps=tuple(steps))
 
 
 def iter_types(codim, max_degree, strict):

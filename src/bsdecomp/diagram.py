@@ -13,7 +13,6 @@ from .errors import BettiFormatError
 
 __all__ = [
     "Diagram",
-    "ZERO",
     "format_betti",
     "format_fraction",
     "parse_betti",
@@ -91,26 +90,6 @@ class Diagram:
             raise ValueError("empty diagram has no width")
         return max(i for i, _ in self._entries)
 
-    # -- algebra --------------------------------------------------------
-
-    def __add__(self, other):
-        if not isinstance(other, Diagram):
-            return NotImplemented
-        acc = dict(self._entries)
-        for key, value in other._entries.items():
-            total = acc.get(key, 0) + value
-            if total == 0:
-                acc.pop(key, None)
-            else:
-                acc[key] = total
-        return Diagram._of(acc)
-
-    def scale(self, q):
-        q = _as_fraction(q)
-        if q == 0:
-            return ZERO
-        return Diagram._of({k: q * v for k, v in self._entries.items()})
-
     # -- identity -------------------------------------------------------
 
     def __eq__(self, other):
@@ -123,9 +102,6 @@ class Diagram:
 
     def __repr__(self):
         return f"Diagram({dict(self.items())!r})"
-
-
-ZERO = Diagram()
 
 
 class Record:
@@ -162,7 +138,7 @@ class Record:
 
 def format_fraction(q):
     """`p/q` in lowest terms, or bare `p` when the denominator is 1."""
-    q = Fraction(q)
+    q = _as_fraction(q)
     if q.denominator == 1:
         return str(q.numerator)
     return f"{q.numerator}/{q.denominator}"

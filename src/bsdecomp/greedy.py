@@ -23,11 +23,7 @@ from .diagram import Diagram, Record, render_grid
 from .errors import EmptyColumn, NotADegreeSequence, NotInCone
 from .pure import PureSum, _denominators, min_degree_sequence
 
-__all__ = [
-    "EliminationTable",
-    "greedy_decompose",
-    "verify_symmetric",
-]
+__all__ = ["EliminationTable", "greedy_decompose"]
 
 
 class EliminationTable(Record):
@@ -106,25 +102,3 @@ def greedy_decompose(a):
                 for key in R:
                     R[key] //= g
     return PureSum(tuple(terms))
-
-
-def verify_symmetric(decomposition, r, n):
-    """Check the palindromic symmetry of a chain decomposition.
-
-    For a self-dual (Gorenstein) diagram of width n and regularity r the
-    terms read the same from both ends: the k-th term from the end has
-    the coefficient of the k-th term and its degree sequence mirrored in
-    the top degree r + n, (r + n - d_n, ..., r + n - d_0).  Every d_k
-    must have n + 1 entries.  Returns False on any asymmetry.
-    """
-    terms = decomposition.terms
-    shift = r + n
-    m = len(terms)
-    for k in range((m + 1) // 2):
-        a_k, d_k = terms[k]
-        a_mirror, d_mirror = terms[m - 1 - k]
-        if len(d_k) != n + 1 or a_k != a_mirror:
-            return False
-        if d_mirror != tuple(shift - x for x in reversed(d_k)):
-            return False
-    return True

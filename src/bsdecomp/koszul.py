@@ -7,7 +7,6 @@ the degrees summing to j.
 """
 
 from fractions import Fraction
-from math import prod
 from operator import index
 
 from .diagram import Diagram, Record
@@ -36,14 +35,6 @@ class CIType(Record):
     @property
     def codim(self):
         return len(self.degrees)
-
-    @property
-    def multiplicity(self):
-        return prod(self.degrees)
-
-    @property
-    def regularity(self):
-        return sum(e - 1 for e in self.degrees)
 
 
 def normalize(degrees):

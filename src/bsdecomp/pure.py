@@ -2,8 +2,7 @@
 
 A degree sequence is a strictly increasing integer tuple (d_0, ..., d_n).
 The pure diagram on d has one entry per column, at (i, d_i), with value
-prod_{k != i} 1/|d_i - d_k|.  First differences turn a degree sequence
-into its tuple of positive gaps.  A formal sum of pure diagrams is a
+prod_{k != i} 1/|d_i - d_k|.  A formal sum of pure diagrams is a
 PureSum.
 """
 
@@ -18,7 +17,6 @@ __all__ = [
     "PureSum",
     "check_degree_sequence",
     "pure",
-    "delta",
     "min_degree_sequence",
     "format_sequence",
     "parse_sequence",
@@ -91,12 +89,6 @@ class PureSum(Record):
         return Diagram(
             (cell, coeff * value) for coeff, d in self.terms for cell, value in pure(d).items()
         )
-
-
-def delta(d):
-    """First differences (d_1 - d_0, ..., d_n - d_{n-1})."""
-    d = check_degree_sequence(d)
-    return tuple(b - a for a, b in zip(d, d[1:]))
 
 
 def min_degree_sequence(a):

@@ -1,7 +1,7 @@
 """Known decompositions and elimination tables for specific complete
 intersections, as printed in the paper, and the checks of the package
 against them.  `test_reference.py` runs every check; other tests import
-the values.
+the values and the oracles `verify_symmetric` and `table_signature`.
 """
 
 from fractions import Fraction
@@ -10,7 +10,9 @@ from math import prod
 from bsdecomp import (
     CIType,
     Diagram,
+    EliminationSignature,
     EliminationTable,
+    PureSum,
     ci_shuffle_decomposition,
     closed_form_decomposition,
     greedy_decompose,
@@ -20,7 +22,6 @@ from bsdecomp import (
     shuffle_product,
     shuffles,
     tensor,
-    verify_symmetric,
 )
 
 # Greedy chain decomposition of the complete intersection of type (1,2,4,8).
@@ -157,6 +158,44 @@ def shuffle_identity_check(sets):
     )
 
 
+def verify_symmetric(decomposition, r, n):
+    """Check the palindromic symmetry of a chain decomposition.
+
+    For a self-dual (Gorenstein) diagram of width n and regularity r the
+    terms read the same from both ends: the k-th term from the end has
+    the coefficient of the k-th term and its degree sequence mirrored in
+    the top degree r + n, (r + n - d_n, ..., r + n - d_0).  Every d_k
+    must have n + 1 entries.  Returns False on any asymmetry.
+    """
+    terms = decomposition.terms
+    shift = r + n
+    m = len(terms)
+    for k in range((m + 1) // 2):
+        a_k, d_k = terms[k]
+        a_mirror, d_mirror = terms[m - 1 - k]
+        if len(d_k) != n + 1 or a_k != a_mirror:
+            return False
+        if d_mirror != tuple(shift - x for x in reversed(d_k)):
+            return False
+    return True
+
+
+def regularity(t):
+    """Regularity sum(e_i - 1) of a complete intersection of type t."""
+    return sum(e - 1 for e in t.degrees)
+
+
+def table_signature(t):
+    """Elimination signature of type t read from its elimination table: the
+    columns of the cells each iteration clears, the last without 0 and codim."""
+    table = EliminationTable.of(greedy_decompose(koszul_betti(t)))
+    steps = [set() for _ in range(table.iterations)]
+    for (i, _), it in table.cells.items():
+        steps[it - 1].add(i)
+    steps[-1] -= {0, t.codim}
+    return EliminationSignature(steps=tuple(tuple(sorted(cols)) for cols in steps))
+
+
 def _grid_cells(text):
     return [line.split() for line in text.splitlines()]
 
@@ -218,13 +257,13 @@ def _check_shuffle_identity():
 def _check_symmetry():
     for degrees in ((1, 2, 4, 8), (2, 3, 7)):
         t = CIType(degrees)
-        if not verify_symmetric(greedy_decompose(koszul_betti(t)), t.regularity, t.codim):
+        if not verify_symmetric(greedy_decompose(koszul_betti(t)), regularity(t), t.codim):
             return False
     return True
 
 
 def _check_pure_example():
-    scaled = pure((0, 2, 3, 4)).scale(24)
+    scaled = PureSum(((24, (0, 2, 3, 4)),)).expand()
     expected = Diagram({(0, 0): 1, (1, 2): 6, (2, 3): 8, (3, 4): 3})
     return scaled == expected and pure((0, 2, 3, 4))[(0, 0)] == Fraction(1, 24)
 

@@ -1,3 +1,4 @@
+from itertools import combinations, combinations_with_replacement
 from math import comb
 
 import pytest
@@ -12,6 +13,7 @@ from bsdecomp.census import (
     signature_of,
     tsv_line,
 )
+from reference import table_signature
 
 
 def tsv_output(codim, max_degree, strict):
@@ -47,6 +49,16 @@ class TestSignature:
         assert len(sig.steps) == 12
         assert 0 not in last_cols
         assert 4 not in last_cols
+
+    @pytest.mark.parametrize("codim, max_degree, strict", [
+        (4, 10, True), (5, 12, True), (4, 8, False), (1, 6, False), (2, 6, False), (3, 6, False),
+    ])
+    def test_chain_matches_table(self, codim, max_degree, strict):
+        # The signature read off the chain equals the one read from the table.
+        source = combinations if strict else combinations_with_replacement
+        for degrees in source(range(1, max_degree + 1), codim):
+            t = CIType(degrees)
+            assert signature_of(t) == table_signature(t), degrees
 
 
 class TestIterTypes:

@@ -1,5 +1,4 @@
 from fractions import Fraction
-from itertools import accumulate
 from math import prod
 
 import pytest
@@ -10,11 +9,11 @@ from bsdecomp import (
     EmptyColumn,
     NotADegreeSequence,
     check_degree_sequence,
-    delta,
     min_degree_sequence,
     pure,
 )
 from bsdecomp.pure import format_sequence, parse_sequence
+from bsdecomp.shuffle import shuffle_product
 
 from conftest import koszul_by_enumeration
 
@@ -89,15 +88,11 @@ class TestPure:
 
 
 class TestDeltaSigma:
-    def test_delta_examples(self):
-        assert delta((0, 3, 5)) == (3, 2)
-        assert delta((0, 1, 6)) == (1, 5)
-        assert delta((7,)) == ()
-
     @given(degree_sequences)
     def test_roundtrip(self, d):
-        # Partial sums from d_0 invert the first differences.
-        assert tuple(accumulate(delta(d), initial=d[0])) == d
+        # A product takes each factor's first differences and their partial
+        # sums from d_0, which invert them: one factor comes back unchanged.
+        assert shuffle_product([d]).terms == ((1, d),)
 
 
 class TestMinDegreeSequence:
